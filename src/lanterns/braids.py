@@ -77,7 +77,10 @@ def generator(n: int, i: int) -> BraidWord:
 
 
 def free_reduce(letters: Iterable[int]) -> FreeWord:
-    """Freely reduce a stream of signed free-group letters."""
+    """Freely reduce a stream of signed letters: adjacent inverse pairs cancel.
+
+    Used on free-group words and, as a braid-group identity, on braid words.
+    """
     out: list[int] = []
     for letter in letters:
         if out and out[-1] == -letter:

@@ -1,10 +1,10 @@
 """Command-line interface.
 
-Exit codes, everywhere: 0 success, 1 relation failed to verify (which for
-valid input would mean a library bug, not a property of the input), 2
-invalid input (parse errors, parallel lines, out-of-range n, unknown
-format), 3 intersection points sharing an x-coordinate when --shear was
-not given.
+Exit codes, everywhere: 0 success, 1 relation failed to verify or a
+library invariant broke (for valid input either means a library bug, not a
+property of the input), 2 invalid input (parse errors, parallel lines,
+out-of-range n, unknown format), 3 intersection points sharing an
+x-coordinate when --shear was not given.
 
 With --json the only bytes on stdout are one JSON document; all
 diagnostics go to stderr.
@@ -20,28 +20,35 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
-from .braids import BraidWord, braids_equal, boundary_word_image, free_reduce
+from .braids import (
+    BraidWord,
+    StrandCountMismatch,
+    braids_equal,
+    boundary_word_image,
+    free_reduce,
+)
 from .families import (
     make_daisy,
     make_doubled_daisy,
     make_pencil,
     realize_wajnryb,
 )
-from .files import (
-    ArrangementFileError,
-    arrangement_to_json,
-    load_arrangement,
-    save_arrangement,
+from .files import arrangement_to_json, load_arrangement, save_arrangement
+from .framed import (
+    FramedElement,
+    InconsistentDescriptor,
+    NotPure,
+    elements_equal,
+    outer_boundary_twist,
 )
-from .framed import FramedElement, elements_equal, outer_boundary_twist
 from .geometry import (
     Arrangement,
-    DuplicateSlope,
+    InvariantViolation,
     NonGenericX,
     shear_to_generic,
 )
 from .monodromy import lantern_relation, total_monodromy, verify_relation
-from .relation import UnknownFormat, export_relation, relation_to_dict
+from .relation import export_relation, relation_to_dict
 from .svgplot import render_arrangement_svg
 
 EXIT_OK = 0
@@ -49,9 +56,24 @@ EXIT_RELATION_FAILED = 1
 EXIT_INVALID_INPUT = 2
 EXIT_NON_GENERIC = 3
 
+# Raised only when the library breaks its own invariants, never by bad input.
+LIBRARY_BUGS = (NotPure, InconsistentDescriptor, StrandCountMismatch, InvariantViolation)
+
 
 def _info(message: str) -> None:
     print(message, file=sys.stderr)
+
+
+def _failure_code(path: str, err: Exception) -> int:
+    """Report why `path` failed on stderr and return the exit code."""
+    if isinstance(err, LIBRARY_BUGS):
+        _info(f"{path}: library bug: {type(err).__name__}: {err}")
+        return EXIT_RELATION_FAILED
+    _info(f"{path}: {err}")
+    if isinstance(err, NonGenericX):
+        _info("hint: rerun with --shear to normalize the arrangement")
+        return EXIT_NON_GENERIC
+    return EXIT_INVALID_INPUT
 
 
 def _prepare(arr: Arrangement, shear: bool) -> tuple[Arrangement, Fraction]:
@@ -118,23 +140,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for path in paths:
         try:
             code, payload = _verify_payload(path, args.shear)
-        except NonGenericX as err:
-            _info(f"{path}: {err}")
-            _info("hint: rerun with --shear to normalize the arrangement")
-            code, payload = EXIT_NON_GENERIC, {
-                "file": path,
-                "verified": False,
-                "exit_code": EXIT_NON_GENERIC,
-                "error": str(err),
-            }
-        except (ArrangementFileError, DuplicateSlope, ValueError, OSError) as err:
-            _info(f"{path}: {err}")
-            code, payload = EXIT_INVALID_INPUT, {
-                "file": path,
-                "verified": False,
-                "exit_code": EXIT_INVALID_INPUT,
-                "error": str(err),
-            }
+        except (*LIBRARY_BUGS, ValueError, OSError) as err:
+            code = _failure_code(path, err)
+            payload = {"file": path, "verified": False, "exit_code": code, "error": str(err)}
         worst = max(worst, code)
         payloads.append(payload)
 
@@ -181,13 +189,8 @@ def cmd_relation(args: argparse.Namespace) -> int:
         relation = lantern_relation(arr)
         relation = replace(relation, report=verify_relation(relation))
         text = export_relation(relation, args.format)
-    except NonGenericX as err:
-        _info(f"{args.path}: {err}")
-        _info("hint: rerun with --shear to normalize the arrangement")
-        return EXIT_NON_GENERIC
-    except (ArrangementFileError, DuplicateSlope, UnknownFormat, ValueError, OSError) as err:
-        _info(f"{args.path}: {err}")
-        return EXIT_INVALID_INPUT
+    except (*LIBRARY_BUGS, ValueError, OSError) as err:
+        return _failure_code(args.path, err)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -200,13 +203,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
         arr = load_arrangement(args.path)
         arr, _ = _prepare(arr, args.shear)
         svg = render_arrangement_svg(arr)
-    except NonGenericX as err:
-        _info(f"{args.path}: {err}")
-        _info("hint: rerun with --shear to normalize the arrangement")
-        return EXIT_NON_GENERIC
-    except (ArrangementFileError, DuplicateSlope, ValueError, OSError) as err:
-        _info(f"{args.path}: {err}")
-        return EXIT_INVALID_INPUT
+    except (*LIBRARY_BUGS, ValueError, OSError) as err:
+        return _failure_code(args.path, err)
     Path(args.output).write_text(svg)
     return EXIT_OK
 

@@ -12,6 +12,12 @@ strand positions and framings add componentwise; the model is an honest
 direct product rather than a permutation-twisted one.  Non-pure braids
 appear solely inside twist descriptors as conjugators.
 
+Products are freely reduced as they are built: `compose_all` cancels every
+adjacent sigma_i sigma_i^{-1} pair across factor boundaries, which is a
+group identity, so a telescoping product is stored in its cancelled form.
+Reduction only shortens words; equality is still decided by the Artin
+oracle alone.
+
 Dehn twist constructors:
 
 * `inner_boundary_twist(n, L)` - twist about a curve parallel to d_L:
@@ -37,6 +43,7 @@ from .braids import (
     BraidWord,
     StrandCountMismatch,
     braids_equal,
+    free_reduce,
     full_twist_block,
     is_pure,
     permutation,
@@ -143,26 +150,31 @@ def identity_element(n: int) -> FramedElement:
 
 
 def compose(a: FramedElement, b: FramedElement) -> FramedElement:
-    """Temporal product: a happens first, then b; framings add.
-
-    Componentwise addition is valid exactly because both factors are pure,
-    so line labels are position-stable across the composition.
-    """
-    if a.n != b.n:
-        raise StrandCountMismatch(f"{a.n} strands vs {b.n} strands")
-    return FramedElement(a.braid * b.braid, tuple(x + y for x, y in zip(a.framing, b.framing)))
+    """Temporal product: a happens first, then b; framings add."""
+    return compose_all((a, b))
 
 
 def compose_all(factors: Iterable[FramedElement], n: int | None = None) -> FramedElement:
-    """Temporal product of a sequence; the first factor acts first."""
-    result: FramedElement | None = None
-    for factor in factors:
-        result = factor if result is None else compose(result, factor)
-    if result is None:
-        if n is None:
+    """Temporal product of a sequence; the first factor acts first.
+
+    One pass: every factor's letters go onto one stack that pops on
+    sigma_i sigma_i^{-1}, so the product comes out freely reduced.  Free
+    reduction is a group identity, and the result is built once, so its
+    letters and purity are checked once per product.  Componentwise framing
+    addition is valid exactly because every factor is pure, so line labels
+    are position-stable across the composition.
+    """
+    factors = tuple(factors)
+    if n is None:
+        if not factors:
             raise ValueError("empty product needs an explicit strand count")
-        return identity_element(n)
-    return result
+        n = factors[0].n
+    for factor in factors:
+        if factor.n != n:
+            raise StrandCountMismatch(f"{n} strands vs {factor.n} strands")
+    letters = free_reduce(letter for factor in factors for letter in factor.braid.letters)
+    framing = tuple(map(sum, zip(*(factor.framing for factor in factors)))) or (0,) * n
+    return FramedElement(BraidWord(n, letters), framing)
 
 
 def inner_boundary_twist(n: int, line_id: int) -> FramedElement:

@@ -31,6 +31,12 @@ because each product in brackets is a positive word in which every pair of
 strands crosses exactly once, i.e. a half twist of the whole fiber.  That
 is the braid part of the arrangement's relation; framings do the boundary
 bookkeeping on top of it.
+
+The first equality is free cancellation (beta_{k+1}^{-1} beta_k =
+D_k^{-1}), and `compose_all` performs it as it builds the product, so the
+stored right-hand word is literally [D_1 ... D_s][D_s ... D_1], with
+n(n-1) letters.  The second equality, with the full twist on the left
+side, is still decided by the Artin oracle in `verify_relation`.
 """
 
 from __future__ import annotations
@@ -41,10 +47,8 @@ from .braids import BraidWord, artin_image, half_twist_block
 from .framed import (
     FramedElement,
     TwistDescriptor,
-    compose,
     compose_all,
     conjugated_twist,
-    identity_element,
     inner_boundary_twist,
     outer_boundary_twist,
     twist_label,
@@ -120,9 +124,10 @@ def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:
     data = braid_monodromy(arr)
     mu = line_multiplicities(arr, [t.point for t in data.twists])
     lhs_pairs = ((0, 1),) + tuple((line.id, mu[line.id] - 1) for line in arr.lines)
-    lhs_element = outer_boundary_twist(arr.n)
-    for line in arr.lines:
-        lhs_element = compose(lhs_element, inner_boundary_twist(arr.n, line.id) ** (mu[line.id] - 1))
+    lhs_element = compose_all(
+        [outer_boundary_twist(arr.n)]
+        + [inner_boundary_twist(arr.n, line.id) ** (mu[line.id] - 1) for line in arr.lines]
+    )
     ordered = tuple(reversed(data.twists))  # temporal order: smallest x first
     rhs_element = compose_all((t.element for t in ordered), n=arr.n)
     return Relation(
@@ -168,17 +173,18 @@ def total_monodromy(arr: Arrangement) -> FramedElement:
     """Monodromy of the big circle around all intersection projections.
 
     Composes the loop monodromies (product of inner twists of the incident
-    lines)^{-1} * alpha_k in temporal order, leftmost point first.  For
-    every valid generic arrangement this equals the full twist with zero
-    framing, which is deformation invariance made computational: sliding
-    all lines into a pencil cannot change what happens at infinity.
+    lines)^{-1} * alpha_k in temporal order, leftmost point first, as one
+    freely reduced product.  For every valid generic arrangement this
+    equals the full twist with zero framing, which is deformation
+    invariance made computational: sliding all lines into a pencil cannot
+    change what happens at infinity.
     """
     data = braid_monodromy(arr)
-    result = identity_element(arr.n)
-    for twist in reversed(data.twists):
-        incident = compose_all(
-            (inner_boundary_twist(arr.n, line_id) for line_id in twist.point.lines),
-            n=arr.n,
-        )
-        result = compose(result, compose(incident.inverse(), twist.element))
-    return result
+
+    def loops():
+        for twist in reversed(data.twists):
+            for line_id in twist.point.lines:
+                yield inner_boundary_twist(arr.n, line_id).inverse()
+            yield twist.element
+
+    return compose_all(loops(), n=arr.n)

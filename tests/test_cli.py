@@ -158,3 +158,18 @@ def test_selftest(capsys):
     assert main(["selftest", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "selftest: ok" in out
+
+
+def test_library_invariant_is_not_invalid_input(tmp_path, capsys, monkeypatch):
+    path = _write(tmp_path, "lantern.json", WORKED_LINES)
+
+    def broken(arr, name="lantern"):
+        raise L.NotPure("simulated invariant break")
+
+    monkeypatch.setattr("lanterns.cli.lantern_relation", broken)
+    assert main(["verify", path]) == 1
+    assert "library bug" in capsys.readouterr().err
+    assert main(["verify", path, "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["exit_code"] == 1
+    assert main(["relation", path]) == 1
+    assert "library bug" in capsys.readouterr().err

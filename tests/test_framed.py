@@ -168,3 +168,38 @@ def test_twist_label_shapes():
     assert L.twist_label({1, 12}) == "a(1,12)"
     assert L.twist_label({2, 3, 4}) == "a(2,3,4)"
     assert L.boundary_label(0) == "d0"
+
+
+def test_compose_all_is_a_group_identity():
+    rng = random.Random(24)
+    n = 5
+    reduced = 0
+    for _ in range(20):
+        factors = []
+        for _ in range(rng.randint(1, 4)):
+            conj = random_braid(rng, n, rng.randint(0, 6))
+            perm = L.permutation(conj)
+            a = rng.randint(1, n - 1)
+            b = rng.randint(a + 1, n)
+            enclosed = frozenset(line for line in range(1, n + 1) if a <= perm[line - 1] <= b)
+            twist = L.conjugated_twist(TwistDescriptor(conj, (a, b), enclosed))
+            factors += [twist, twist.inverse()] if rng.random() < 0.5 else [twist]
+        rng.shuffle(factors)
+        product = L.compose_all(factors)
+        raw = BraidWord(n, tuple(x for f in factors for x in f.braid.letters))
+        assert len(product.braid) <= len(raw)
+        reduced += len(product.braid) < len(raw)
+        assert L.braids_equal(product.braid, raw)
+        assert product.framing == tuple(sum(f.framing[k] for f in factors) for k in range(n))
+    assert reduced > 0  # the sample really exercises cancellation
+
+
+def test_compose_cancels_inverse_and_checks_strand_counts():
+    twist = L.conjugated_twist(TwistDescriptor(BraidWord(3, (2,)), (1, 2), frozenset({1, 3})))
+    assert twist.braid.letters == (2, 1, 1, -2)
+    product = L.compose(twist, twist.inverse())
+    assert product.braid.letters == () and product.framing == (0, 0, 0)
+    with pytest.raises(L.StrandCountMismatch):
+        L.compose(twist, L.inner_boundary_twist(4, 1))
+    with pytest.raises(L.StrandCountMismatch):
+        L.compose_all([L.outer_boundary_twist(3), L.outer_boundary_twist(4)])

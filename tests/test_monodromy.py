@@ -151,3 +151,28 @@ def test_convention_negative_controls(worked):
 def test_verified_relation_attaches_report(worked):
     relation = L.verified_relation(worked)
     assert relation.report is not None and relation.report.verified
+
+
+def _telescoped(arr):
+    """[D_1 ... D_s][D_s ... D_1], D_j the half twist of the rank-j block."""
+    blocks = [
+        half_twist_block(arr.n, *t.descriptor.block).letters
+        for t in L.braid_monodromy(arr).twists
+    ]
+    return tuple(x for d in blocks for x in d) + tuple(x for d in reversed(blocks) for x in d)
+
+
+def test_rhs_word_is_the_telescoped_full_twist():
+    rng = random.Random(33)
+    arrangements = [
+        L.shear_to_generic(random_arrangement(rng, rng.randint(3, 8)))[0] for _ in range(40)
+    ]
+    assert sum(len(p.lines) == 3 for a in arrangements for p in L.intersections(a)) >= 10
+    arrangements += [L.make_pencil(n) for n in (2, 3, 6)]
+    arrangements += [L.make_daisy(n) for n in (3, 5, 7)]
+    arrangements += [L.make_doubled_daisy(n) for n in (5, 6)]
+    for arr in arrangements:
+        relation = L.lantern_relation(arr)
+        assert relation.rhs_element.braid.letters == _telescoped(arr)
+        assert len(relation.rhs_element.braid) == arr.n * (arr.n - 1)
+        assert L.verify_relation(relation).verified
