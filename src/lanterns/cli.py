@@ -16,7 +16,6 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from .families import (
     make_daisy,
     make_doubled_daisy,
     make_pencil,
+    random_arrangement,
     realize_wajnryb,
 )
 from .files import arrangement_to_json, load_arrangement, save_arrangement
@@ -47,7 +47,7 @@ from .geometry import (
     NonGenericX,
     shear_to_generic,
 )
-from .monodromy import lantern_relation, total_monodromy, verify_relation
+from .monodromy import total_monodromy, verified_relation
 from .relation import export_relation, relation_to_dict
 from .svgplot import render_arrangement_svg
 
@@ -76,8 +76,11 @@ def _failure_code(path: str, err: Exception) -> int:
     return EXIT_INVALID_INPUT
 
 
-def _prepare(arr: Arrangement, shear: bool) -> tuple[Arrangement, Fraction]:
-    """Apply the genericity shear when asked; NonGenericX escapes otherwise."""
+def _load(path: str, shear: bool) -> tuple[Arrangement, Fraction]:
+    """Read an arrangement file; apply the genericity shear when asked.
+
+    Without the shear, NonGenericX escapes from the stage that needs it."""
+    arr = load_arrangement(path)
     if not shear:
         return arr, Fraction(0)
     sheared, t = shear_to_generic(arr)
@@ -87,15 +90,12 @@ def _prepare(arr: Arrangement, shear: bool) -> tuple[Arrangement, Fraction]:
 
 
 def _verify_payload(path: str, shear: bool) -> tuple[int, dict]:
-    arr = load_arrangement(path)
-    arr, t = _prepare(arr, shear)
-    relation = lantern_relation(arr)
-    report = verify_relation(relation)
-    relation = replace(relation, report=report)
-    code = EXIT_OK if report.verified else EXIT_RELATION_FAILED
+    arr, t = _load(path, shear)
+    relation = verified_relation(arr)
+    code = EXIT_OK if relation.report.verified else EXIT_RELATION_FAILED
     payload = {
         "file": path,
-        "verified": report.verified,
+        "verified": relation.report.verified,
         "exit_code": code,
         "shear_t": str(t) if t != 0 else None,
         "relation": relation_to_dict(relation),
@@ -184,10 +184,8 @@ def cmd_make(args: argparse.Namespace) -> int:
 
 def cmd_relation(args: argparse.Namespace) -> int:
     try:
-        arr = load_arrangement(args.path)
-        arr, t = _prepare(arr, args.shear)
-        relation = lantern_relation(arr)
-        relation = replace(relation, report=verify_relation(relation))
+        arr, _ = _load(args.path, args.shear)
+        relation = verified_relation(arr)
         text = export_relation(relation, args.format)
     except (*LIBRARY_BUGS, ValueError, OSError) as err:
         return _failure_code(args.path, err)
@@ -200,28 +198,12 @@ def cmd_relation(args: argparse.Namespace) -> int:
 
 def cmd_plot(args: argparse.Namespace) -> int:
     try:
-        arr = load_arrangement(args.path)
-        arr, _ = _prepare(arr, args.shear)
+        arr, _ = _load(args.path, args.shear)
         svg = render_arrangement_svg(arr)
     except (*LIBRARY_BUGS, ValueError, OSError) as err:
         return _failure_code(args.path, err)
     Path(args.output).write_text(svg)
     return EXIT_OK
-
-
-def _random_generic_arrangement(rng: random.Random, n: int) -> Arrangement:
-    from .geometry import validate_arrangement
-
-    slopes: set[Fraction] = set()
-    while len(slopes) < n:
-        slopes.add(Fraction(rng.randint(-24, 24), rng.randint(1, 5)))
-    entries = [
-        (slope, Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
-        for slope in sorted(slopes, reverse=True)
-    ]
-    arr = validate_arrangement(entries)
-    arr, _ = shear_to_generic(arr)
-    return arr
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
@@ -257,9 +239,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     ok = True
     for _ in range(20):
         n = rng.randint(2, 6)
-        arr = _random_generic_arrangement(rng, n)
-        report = verify_relation(lantern_relation(arr))
-        ok = ok and report.verified
+        arr, _ = shear_to_generic(random_arrangement(rng, n, allow_concurrent=False))
+        ok = ok and verified_relation(arr).report.verified
         total = total_monodromy(arr)
         full_twist_unframed = FramedElement(outer_boundary_twist(n).braid, (0,) * n)
         ok = ok and elements_equal(total, full_twist_unframed)

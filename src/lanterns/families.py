@@ -2,6 +2,8 @@
 
 Families:
 
+* random: seeded slopes and intercepts, optionally routing a third line
+  through the meet of two others.
 * pencil: all lines through one point; the relation degenerates to the
   outer twist equalling one interior twist around everything.
 * wajnryb: a fully generic arrangement realizing the lexicographic pair
@@ -25,7 +27,8 @@ convex combination of those of (i,j) and (j,k) whenever i < j < k, so e.g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
@@ -42,7 +45,7 @@ from .geometry import (
     intersections,
     validate_arrangement,
 )
-from .monodromy import lantern_relation, verify_relation
+from .monodromy import verified_relation
 from .relation import Relation, VerificationReport
 
 
@@ -115,6 +118,27 @@ def extract_pair_ordering(arr: Arrangement) -> PairOrdering:
 
 # ---------------------------------------------------------------------------
 # constructors
+
+
+def random_arrangement(
+    rng: random.Random, n: int, allow_concurrent: bool = True
+) -> Arrangement:
+    """Seeded random arrangement; occasionally routes three lines through
+    one point to exercise the multiple-point path."""
+    slopes: set[Fraction] = set()
+    while len(slopes) < n:
+        slopes.add(Fraction(rng.randint(-24, 24), rng.randint(1, 5)))
+    entries = [
+        [slope, Fraction(rng.randint(-12, 12), rng.randint(1, 4))]
+        for slope in sorted(slopes, reverse=True)
+    ]
+    if allow_concurrent and n >= 3 and rng.random() < 0.4:
+        i, j, k = rng.sample(range(n), 3)
+        (mi, ci), (mj, cj) = entries[i], entries[j]
+        x = (cj - ci) / (mi - mj)
+        y = mi * x + ci
+        entries[k][1] = y - entries[k][0] * x
+    return validate_arrangement([tuple(e) for e in entries])
 
 
 def make_pencil(n: int) -> Arrangement:
@@ -328,8 +352,7 @@ def realize_ordering(ordering: PairOrdering) -> Arrangement | Unrealized:
             realized = extract_pair_ordering(arr)
             if realized.pairs != ordering.pairs:
                 continue  # cannot happen: the inequalities pin the full order
-            report = verify_relation(lantern_relation(arr))
-            if not report.verified:
+            if not verified_relation(arr).report.verified:
                 raise RuntimeError("realized arrangement failed verification")
             return arr
 
@@ -382,10 +405,13 @@ class FamilyCheck:
     name: str
     n: int
     relation: Relation
-    verification: VerificationReport
     lhs_ok: bool
     rhs_ok: bool
     problems: tuple[str, ...]
+
+    @property
+    def verification(self) -> VerificationReport:
+        return self.relation.report
 
     @property
     def ok(self) -> bool:
@@ -414,10 +440,8 @@ def _structure_check(
     arr: Arrangement,
     expected_rank_sets: list[frozenset[int]],
     expected_lhs: tuple[tuple[int, int], ...],
-) -> tuple[Relation, VerificationReport, bool, bool, tuple[str, ...]]:
-    relation = lantern_relation(arr, name=name)
-    report = verify_relation(relation)
-    relation = replace(relation, report=report)
+) -> tuple[Relation, bool, bool, tuple[str, ...]]:
+    relation = verified_relation(arr, name=name)
     problems: list[str] = []
 
     lhs_ok = relation.lhs == expected_lhs
@@ -439,9 +463,9 @@ def _structure_check(
             problems.append(
                 f"{len(rank_sets)} interior factors, expected {len(expected_rank_sets)}"
             )
-    if not report.verified:
+    if not relation.report.verified:
         problems.append("relation failed verification")
-    return relation, report, lhs_ok, rhs_ok, tuple(problems)
+    return relation, lhs_ok, rhs_ok, tuple(problems)
 
 
 def check_daisy_arrangement(arr: Arrangement) -> FamilyCheck:
@@ -450,10 +474,7 @@ def check_daisy_arrangement(arr: Arrangement) -> FamilyCheck:
     expected_sets = [frozenset((1, k)) for k in range(2, n + 1)]
     expected_sets.append(frozenset(range(2, n + 1)))
     expected_lhs = ((0, 1), (1, n - 2)) + tuple((k, 1) for k in range(2, n + 1))
-    relation, report, lhs_ok, rhs_ok, problems = _structure_check(
-        "daisy", arr, expected_sets, expected_lhs
-    )
-    return FamilyCheck("daisy", n, relation, report, lhs_ok, rhs_ok, problems)
+    return FamilyCheck("daisy", n, *_structure_check("daisy", arr, expected_sets, expected_lhs))
 
 
 def check_daisy(n: int) -> FamilyCheck:
@@ -472,32 +493,28 @@ def check_doubled_daisy(n: int) -> DoubledDaisyCheck:
         + tuple((k, 2) for k in range(2, n))
         + ((n, n - 2),)
     )
-    relation, report, lhs_ok, rhs_ok, problems = _structure_check(
+    relation, lhs_ok, rhs_ok, problems = _structure_check(
         "doubled-daisy", arr, expected_sets, expected_lhs
     )
 
     # Displayed single-power form: absorb one middle boundary twist per
     # line into the central factor and recheck the identity exactly.
     center = frozenset(range(2, n))
-    lhs_display = compose(
-        relation.lhs_element,
-        compose_all(
-            (inner_boundary_twist(n, k) for k in range(2, n)), n=n
-        ).inverse(),
-    )
-    factors = []
-    for descriptor in relation.rhs:  # temporal order
-        factor = conjugated_twist(descriptor)
-        if descriptor.enclosed == center:
-            absorbed = compose_all(
-                (inner_boundary_twist(n, k) for k in range(2, n)), n=n
-            ).inverse()
-            factor = compose(absorbed, factor)
-        factors.append(factor)
-    rhs_display = compose_all(factors, n=n)
+    absorbed = compose_all(
+        (inner_boundary_twist(n, k) for k in range(2, n)), n=n
+    ).inverse()
+    lhs_display = compose(relation.lhs_element, absorbed)
+
+    def display_factors():
+        for descriptor in relation.rhs:  # temporal order
+            if descriptor.enclosed == center:
+                yield absorbed
+            yield conjugated_twist(descriptor)
+
+    rhs_display = compose_all(display_factors(), n=n)
     display_ok = elements_equal(lhs_display, rhs_display)
     if not display_ok:
         problems = problems + ("displayed single-power form failed to verify",)
     return DoubledDaisyCheck(
-        "doubled-daisy", n, relation, report, lhs_ok, rhs_ok, problems, display_ok
+        "doubled-daisy", n, relation, lhs_ok, rhs_ok, problems, display_ok
     )

@@ -34,14 +34,19 @@ bookkeeping on top of it.
 
 The first equality is free cancellation (beta_{k+1}^{-1} beta_k =
 D_k^{-1}), and `compose_all` performs it as it builds the product, so the
-stored right-hand word is literally [D_1 ... D_s][D_s ... D_1], with
-n(n-1) letters.  The second equality, with the full twist on the left
-side, is still decided by the Artin oracle in `verify_relation`.
+right-hand word is literally [D_1 ... D_s][D_s ... D_1], with n(n-1)
+letters.  The second equality, with the full twist on the left side, is
+still decided by the Artin oracle in `verify_relation`.
+
+`lantern_relation` only reads the factor lists off the combinatorics (the
+exponents mu_L - 1 and the descriptors in temporal order); `Relation`
+derives both words from them when `verify_relation` first needs them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .braids import BraidWord, artin_image, half_twist_block
 from .framed import (
@@ -50,13 +55,11 @@ from .framed import (
     compose_all,
     conjugated_twist,
     inner_boundary_twist,
-    outer_boundary_twist,
     twist_label,
 )
 from .geometry import (
     Arrangement,
     IntersectionPoint,
-    InvariantViolation,
     intersections,
     line_multiplicities,
     order_profiles,
@@ -70,7 +73,11 @@ class PointTwist:
 
     point: IntersectionPoint
     descriptor: TwistDescriptor
-    element: FramedElement
+
+    @cached_property
+    def element(self) -> FramedElement:
+        """The conjugated twist the descriptor pins down."""
+        return conjugated_twist(self.descriptor)
 
 
 @dataclass(frozen=True)
@@ -88,9 +95,11 @@ class MonodromyData:
 def braid_monodromy(arr: Arrangement) -> MonodromyData:
     """Conjugator, block, and twist for every intersection point.
 
-    Requires x-generic input; propagates NonGenericX otherwise.  The
-    descriptor consistency (the conjugator really carries the enclosed
-    lines onto the block) is re-checked at construction for every point.
+    Requires x-generic input; propagates NonGenericX otherwise.
+    `order_profiles` checks that the lines through each point are
+    contiguous in the fiber order; the descriptor consistency (the
+    conjugator really carries the enclosed lines onto the block) is
+    re-checked at construction for every point.
     """
     points = intersections(arr)
     profiles = order_profiles(arr)
@@ -100,16 +109,11 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
         before = profiles[point.rank - 1].order
         positions = sorted(before.index(line_id) + 1 for line_id in point.lines)
         lo, hi = positions[0], positions[-1]
-        if positions != list(range(lo, hi + 1)):
-            raise InvariantViolation(
-                f"lines {point.lines} occupy non-contiguous positions {positions} "
-                f"in profile {point.rank - 1}"
-            )
         conjugator = BraidWord(arr.n, tuple(beta_letters))
         descriptor = TwistDescriptor(
             conjugator, (lo, hi), frozenset(point.lines), twist_label(point.lines)
         )
-        twists.append(PointTwist(point, descriptor, conjugated_twist(descriptor)))
+        twists.append(PointTwist(point, descriptor))
         beta_letters.extend(half_twist_block(arr.n, lo, hi).letters)
     return MonodromyData(arr, tuple(twists))
 
@@ -119,24 +123,16 @@ def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:
 
     Left side: outer twist times inner twists to the power mu_L - 1 (all
     commuting).  Right side: the conjugated interior twists in temporal
-    order, leftmost intersection point acting first.
+    order, leftmost intersection point acting first.  No word is built
+    here; the relation derives both sides when they are first used.
     """
     data = braid_monodromy(arr)
     mu = line_multiplicities(arr, [t.point for t in data.twists])
-    lhs_pairs = ((0, 1),) + tuple((line.id, mu[line.id] - 1) for line in arr.lines)
-    lhs_element = compose_all(
-        [outer_boundary_twist(arr.n)]
-        + [inner_boundary_twist(arr.n, line.id) ** (mu[line.id] - 1) for line in arr.lines]
-    )
-    ordered = tuple(reversed(data.twists))  # temporal order: smallest x first
-    rhs_element = compose_all((t.element for t in ordered), n=arr.n)
     return Relation(
         name=name,
         n=arr.n,
-        lhs=lhs_pairs,
-        rhs=tuple(t.descriptor for t in ordered),
-        lhs_element=lhs_element,
-        rhs_element=rhs_element,
+        lhs=((0, 1),) + tuple((line.id, mu[line.id] - 1) for line in arr.lines),
+        rhs=tuple(t.descriptor for t in reversed(data.twists)),  # smallest x first
     )
 
 
@@ -160,7 +156,7 @@ def verify_relation(relation: Relation) -> VerificationReport:
             if left != right:
                 witness = Witness(j, left, right)
                 break
-    return VerificationReport(braid_ok, framing_ok, lhs, rhs, witness)
+    return VerificationReport(braid_ok, framing_ok, witness)
 
 
 def verified_relation(arr: Arrangement, name: str = "lantern") -> Relation:

@@ -10,20 +10,35 @@ text reads left to right in that same order, so
 says the twist about the curve enclosing lines 1 and 2 acts first on the
 right.  Left-side factors commute, so their order is cosmetic.
 
+The factor lists are the whole relation: both sides' words are derived
+from them, never stored, so no stored word can disagree with the factors.
+
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
-(schema-versioned, lossless; `parse_relation` inverts it exactly).
+(schema `lantern-relation/2`, lossless; `parse_relation` inverts it
+exactly, and still reads schema 1, checking its stored words).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any
 
 from .braids import BraidWord, FreeWord
-from .framed import FramedElement, TwistDescriptor, boundary_label
+from .framed import (
+    FramedElement,
+    TwistDescriptor,
+    boundary_label,
+    compose_all,
+    conjugated_twist,
+    elements_equal,
+    inner_boundary_twist,
+    outer_boundary_twist,
+)
 
-JSON_SCHEMA = "lantern-relation/1"
+JSON_SCHEMA = "lantern-relation/2"
+JSON_SCHEMA_V1 = "lantern-relation/1"
 
 
 class UnknownFormat(ValueError):
@@ -45,56 +60,43 @@ class VerificationReport:
 
     braid_ok: bool
     framing_ok: bool
-    lhs: FramedElement
-    rhs: FramedElement
     witness: Witness | None = None
 
     @property
     def verified(self) -> bool:
         return self.braid_ok and self.framing_ok
 
-    def summary(self) -> str:
-        parts = [
-            f"braid part: {'equal' if self.braid_ok else 'DIFFERENT'}",
-            f"framings:   {'equal' if self.framing_ok else 'DIFFERENT'} "
-            f"(lhs {list(self.lhs.framing)}, rhs {list(self.rhs.framing)})",
-            f"verified:   {'yes' if self.verified else 'NO'}",
-        ]
-        if self.witness is not None:
-            parts.append(
-                f"witness:    x_{self.witness.generator} maps to "
-                f"{_free_word_str(self.witness.lhs_image)} on the left but "
-                f"{_free_word_str(self.witness.rhs_image)} on the right"
-            )
-        return "\n".join(parts)
-
 
 @dataclass(frozen=True)
 class Relation:
-    """A named twist relation with both sides materialized.
+    """A named twist relation, given by its two factor lists.
 
     `lhs` lists (boundary id, exponent) pairs, boundary id 0 being the
     outer boundary; `rhs` lists twist descriptors in temporal order (first
-    acts first).  `lhs_element` and `rhs_element` are the assembled framed
-    elements; `report` is attached once verification ran.
+    acts first); `report` is attached once verification ran.  The
+    assembled framed elements `lhs_element` and `rhs_element` are derived
+    from the factor lists on first access.
     """
 
     name: str
     n: int
     lhs: tuple[tuple[int, int], ...]
     rhs: tuple[TwistDescriptor, ...]
-    lhs_element: FramedElement
-    rhs_element: FramedElement
     report: VerificationReport | None = None
 
+    @cached_property
+    def lhs_element(self) -> FramedElement:
+        """Outer twist for id 0, inner twists for the rest, each to its exponent."""
+        n = self.n
+        twists = (
+            (inner_boundary_twist(n, b) if b else outer_boundary_twist(n)) ** e for b, e in self.lhs
+        )
+        return compose_all(twists, n=n)
 
-def _free_word_str(word: FreeWord) -> str:
-    if not word:
-        return "1"
-    parts = []
-    for letter in word:
-        parts.append(f"x{letter}" if letter > 0 else f"x{-letter}^-1")
-    return " ".join(parts)
+    @cached_property
+    def rhs_element(self) -> FramedElement:
+        """The conjugated interior twists, composed in temporal order."""
+        return compose_all((conjugated_twist(d) for d in self.rhs), n=self.n)
 
 
 def _lhs_text(relation: Relation) -> list[str]:
@@ -133,10 +135,6 @@ def format_latex(relation: Relation) -> str:
     return f"{lhs} = {rhs}"
 
 
-def _element_dict(element: FramedElement) -> dict[str, Any]:
-    return {"braid": list(element.braid.letters), "framing": list(element.framing)}
-
-
 def _element_from_dict(data: dict[str, Any], n: int) -> FramedElement:
     return FramedElement(BraidWord(n, tuple(data["braid"])), tuple(data["framing"]))
 
@@ -153,14 +151,12 @@ def _report_dict(report: VerificationReport) -> dict[str, Any]:
         "braid_ok": report.braid_ok,
         "framing_ok": report.framing_ok,
         "verified": report.verified,
-        "lhs": _element_dict(report.lhs),
-        "rhs": _element_dict(report.rhs),
         "witness": witness,
     }
 
 
 def relation_to_dict(relation: Relation) -> dict[str, Any]:
-    data: dict[str, Any] = {
+    return {
         "schema": JSON_SCHEMA,
         "name": relation.name,
         "n": relation.n,
@@ -175,11 +171,8 @@ def relation_to_dict(relation: Relation) -> dict[str, Any]:
             }
             for d in relation.rhs
         ],
-        "lhs_element": _element_dict(relation.lhs_element),
-        "rhs_element": _element_dict(relation.rhs_element),
         "report": None if relation.report is None else _report_dict(relation.report),
     }
-    return data
 
 
 def format_json(relation: Relation) -> str:
@@ -197,9 +190,26 @@ def export_relation(relation: Relation, fmt: str) -> str:
     raise UnknownFormat(f"unknown relation format {fmt!r} (expected text, latex, or json)")
 
 
+def _check_v1_sides(data: dict[str, Any], relation: Relation) -> None:
+    """Each side word a v1 document stored must equal the derived side.
+
+    The words are compared in the group, not letter by letter: exports
+    written before products were freely reduced spell the same elements
+    with longer words.
+    """
+    report = data.get("report") or {}
+    for side, derived in (("lhs", relation.lhs_element), ("rhs", relation.rhs_element)):
+        stored = data[f"{side}_element"]
+        copy = report.get(side, stored)  # a report repeated each side's word
+        for entry in (stored,) if copy == stored else (stored, copy):
+            if not elements_equal(_element_from_dict(entry, relation.n), derived):
+                raise ValueError(f"stored {side} word is not the product of its factors")
+
+
 def relation_from_dict(data: dict[str, Any]) -> Relation:
-    if data.get("schema") != JSON_SCHEMA:
-        raise ValueError(f"unsupported relation schema {data.get('schema')!r}")
+    schema = data.get("schema")
+    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V1):
+        raise ValueError(f"unsupported relation schema {schema!r}")
     n = int(data["n"])
     rhs = tuple(
         TwistDescriptor(
@@ -220,22 +230,17 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
                 tuple(rep["witness"]["lhs_image"]),
                 tuple(rep["witness"]["rhs_image"]),
             )
-        report = VerificationReport(
-            rep["braid_ok"],
-            rep["framing_ok"],
-            _element_from_dict(rep["lhs"], n),
-            _element_from_dict(rep["rhs"], n),
-            witness,
-        )
-    return Relation(
+        report = VerificationReport(rep["braid_ok"], rep["framing_ok"], witness)
+    relation = Relation(
         name=data["name"],
         n=n,
         lhs=tuple((pair[0], pair[1]) for pair in data["lhs"]),
         rhs=rhs,
-        lhs_element=_element_from_dict(data["lhs_element"], n),
-        rhs_element=_element_from_dict(data["rhs_element"], n),
         report=report,
     )
+    if schema == JSON_SCHEMA_V1:
+        _check_v1_sides(data, relation)
+    return relation
 
 
 def parse_relation(text: str) -> Relation:

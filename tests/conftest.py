@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 import pytest
 
 import lanterns as L
+from lanterns.families import random_arrangement  # noqa: F401  (re-exported for the tests)
 
 # Three lines in general position whose relation is the classical lantern:
 # slopes 2 > 1 > -1, intersections at x = 3/2 {2,3}, 4/3 {1,3}, 1 {1,2}.
@@ -21,27 +21,6 @@ NON_GENERIC_LINES = [(2, -2), (1, 0), (-1, 0), (-2, 2)]
 @pytest.fixture
 def worked() -> L.Arrangement:
     return L.validate_arrangement(WORKED_LINES)
-
-
-def random_arrangement(
-    rng: random.Random, n: int, allow_concurrent: bool = True
-) -> L.Arrangement:
-    """Seeded random arrangement; occasionally routes three lines through
-    one point to exercise the multiple-point path."""
-    slopes: set[Fraction] = set()
-    while len(slopes) < n:
-        slopes.add(Fraction(rng.randint(-24, 24), rng.randint(1, 5)))
-    entries = [
-        [slope, Fraction(rng.randint(-12, 12), rng.randint(1, 4))]
-        for slope in sorted(slopes, reverse=True)
-    ]
-    if allow_concurrent and n >= 3 and rng.random() < 0.4:
-        i, j, k = rng.sample(range(n), 3)
-        (mi, ci), (mj, cj) = entries[i], entries[j]
-        x = (cj - ci) / (mi - mj)
-        y = mi * x + ci
-        entries[k][1] = y - entries[k][0] * x
-    return L.validate_arrangement([tuple(e) for e in entries])
 
 
 def random_braid(rng: random.Random, n: int, length: int) -> L.BraidWord:

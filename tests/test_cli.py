@@ -48,7 +48,7 @@ def test_verify_json_stdout_is_pure(tmp_path, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out)  # the whole stdout is one document
     assert payload["verified"] is True
-    assert payload["relation"]["schema"] == "lantern-relation/1"
+    assert payload["relation"]["schema"] == "lantern-relation/2"
     assert payload["shear_t"] is not None
     assert "applied shear" in captured.err
 
@@ -166,7 +166,7 @@ def test_library_invariant_is_not_invalid_input(tmp_path, capsys, monkeypatch):
     def broken(arr, name="lantern"):
         raise L.NotPure("simulated invariant break")
 
-    monkeypatch.setattr("lanterns.cli.lantern_relation", broken)
+    monkeypatch.setattr("lanterns.cli.verified_relation", broken)
     assert main(["verify", path]) == 1
     assert "library bug" in capsys.readouterr().err
     assert main(["verify", path, "--json"]) == 1

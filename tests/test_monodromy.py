@@ -62,15 +62,7 @@ def test_swapped_factors_fail_with_witness(worked):
     relation = L.lantern_relation(worked)
     swapped = list(relation.rhs)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    rhs = compose_all([conjugated_twist(d) for d in swapped], n=3)
-    bad = L.Relation(
-        name="lantern-swapped",
-        n=3,
-        lhs=relation.lhs,
-        rhs=tuple(swapped),
-        lhs_element=relation.lhs_element,
-        rhs_element=rhs,
-    )
+    bad = L.Relation(name="lantern-swapped", n=3, lhs=relation.lhs, rhs=tuple(swapped))
     report = L.verify_relation(bad)
     assert not report.braid_ok
     assert report.framing_ok  # framings are order-blind

@@ -1,5 +1,7 @@
 """Relation exporters: text, latex, lossless json round trip."""
 
+import json
+
 import pytest
 
 import lanterns as L
@@ -35,20 +37,70 @@ def test_json_round_trip_without_report():
 
 
 def test_json_round_trip_failed_report(worked):
-    from lanterns.framed import compose_all, conjugated_twist
-
     relation = L.lantern_relation(worked)
     swapped = list(relation.rhs)
     swapped[0], swapped[1] = swapped[1], swapped[0]
-    bad = L.Relation(
-        "bad", 3, relation.lhs, tuple(swapped), relation.lhs_element,
-        compose_all([conjugated_twist(d) for d in swapped], n=3),
-    )
+    bad = L.Relation("bad", 3, relation.lhs, tuple(swapped))
     from dataclasses import replace
 
     bad = replace(bad, report=L.verify_relation(bad))
     assert bad.report.witness is not None
     assert L.parse_relation(L.export_relation(bad, "json")) == bad
+
+
+def test_v2_export_stores_no_words(worked):
+    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    assert data["schema"] == "lantern-relation/2"
+    assert "lhs_element" not in data and "rhs_element" not in data
+    assert "lhs" not in data["report"] and "rhs" not in data["report"]
+
+
+def test_swapped_factor_json_does_not_verify(worked):
+    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data["rhs"][0], data["rhs"][1] = data["rhs"][1], data["rhs"][0]
+    data["report"] = None
+    parsed = L.parse_relation(json.dumps(data))
+    assert L.export_relation(parsed, "text") == "d0 d1 d2 d3 = a13 a12 a23\n"
+    report = L.verify_relation(parsed)
+    assert not report.verified
+    assert report.witness is not None
+
+
+def _v1_dict(relation, rhs_letters):
+    """`relation` as a lantern-relation/1 document, right side spelled `rhs_letters`."""
+    data = L.relation_to_dict(relation)
+    data["schema"] = "lantern-relation/1"
+    lhs = {
+        "braid": list(relation.lhs_element.braid.letters),
+        "framing": list(relation.lhs_element.framing),
+    }
+    rhs = {"braid": list(rhs_letters), "framing": list(relation.rhs_element.framing)}
+    data["lhs_element"], data["rhs_element"] = lhs, rhs
+    data["report"].update(lhs=lhs, rhs=rhs)
+    return data
+
+
+def test_v1_unreduced_export_still_parses():
+    relation = L.verified_relation(L.make_daisy(5))
+    unreduced = [x for d in relation.rhs for x in L.conjugated_twist(d).braid.letters]
+    assert len(unreduced) > len(relation.rhs_element.braid)
+    parsed = L.parse_relation(json.dumps(_v1_dict(relation, unreduced)))
+    assert parsed == relation
+    assert parsed.report.verified
+
+
+def test_v1_stored_word_must_match_factors(worked):
+    relation = L.verified_relation(worked)
+    swapped = _v1_dict(relation, relation.rhs_element.braid.letters)
+    swapped["rhs"][0], swapped["rhs"][1] = swapped["rhs"][1], swapped["rhs"][0]
+    with pytest.raises(ValueError, match="not the product of its factors"):
+        L.parse_relation(json.dumps(swapped))
+
+    # the report's copy of a side is checked too
+    stale_copy = _v1_dict(relation, relation.rhs_element.braid.letters)
+    stale_copy["report"]["rhs"] = {"braid": [], "framing": [2, 2, 2]}
+    with pytest.raises(ValueError, match="not the product of its factors"):
+        L.parse_relation(json.dumps(stale_copy))
 
 
 def test_unknown_format(worked):
