@@ -12,8 +12,10 @@ F_n = <x_1, ..., x_n>.  The pinned generator convention is
 
 with all other generators fixed, and for a word u * v the automorphism of
 u applies first.  Two words are equal in the braid group exactly when they
-act identically on x_1 .. x_n.  Free-group images are kept freely reduced
-after every letter, so intermediate words never carry cancelling fluff.
+act identically on x_1 .. x_n.  The action is evaluated from the last
+letter back, so each letter rewrites only the two images it touches; every
+image is kept freely reduced, which makes image equality word equality in
+the free group.
 
 The convention makes sigma_i the counterclockwise (positive) half twist of
 two adjacent strands; it is pinned operationally by the relation tests
@@ -90,47 +92,50 @@ def free_reduce(letters: Iterable[int]) -> FreeWord:
     return tuple(out)
 
 
-def _act_letter(images: list[list[int]], letter: int) -> list[list[int]]:
-    """Apply one braid letter's free-group automorphism to reduced images."""
-    i = abs(letter)
-    if letter > 0:
-        table = {
-            i: (i, i + 1, -i),
-            -i: (i, -(i + 1), -i),
-            i + 1: (i,),
-            -(i + 1): (-i,),
-        }
-    else:
-        table = {
-            i: (i + 1,),
-            -i: (-(i + 1),),
-            i + 1: (-(i + 1), i, i + 1),
-            -(i + 1): (-(i + 1), -i, i + 1),
-        }
-    new_images: list[list[int]] = []
-    for word in images:
-        out: list[int] = []
-        for x in word:
-            for y in table.get(x, (x,)):
-                if out and out[-1] == -y:
-                    out.pop()
-                else:
-                    out.append(y)
-        new_images.append(out)
-    return new_images
+def _product(*words: FreeWord) -> FreeWord:
+    """Product of freely reduced words, reduced by cancelling at the junctions."""
+    out = words[0]
+    for word in words[1:]:
+        k = 0
+        limit = min(len(out), len(word))
+        while k < limit and out[-1 - k] == -word[k]:
+            k += 1
+        out = out[: len(out) - k] + word[k:]
+    return out
+
+
+def _inverse(word: FreeWord) -> FreeWord:
+    return tuple(-x for x in reversed(word))
 
 
 def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
     """Images of x_1 .. x_n under the automorphism of `word`.
 
-    For u * v the automorphism of u applies first; each returned image is
-    freely reduced.  This is a total function and the equality oracle's
-    entire substance: words are equal in B_n iff their images coincide.
+    For u * v the automorphism of u applies first, so a word s_1 ... s_m
+    acts as G = S_m o ... o S_1.  It is evaluated from the last letter
+    back: with G_k = G_{k+1} o S_k, a letter sigma_i^{+-1} rewrites only the
+    images g_i and g_{i+1}:
+
+        sigma_i:       g_i <- g_i g_{i+1} g_i^{-1},   g_{i+1} <- g_i
+        sigma_i^{-1}:  g_i <- g_{i+1},   g_{i+1} <- g_{i+1}^{-1} g_i g_{i+1}
+
+    Each product cancels at its junctions, so every image stays freely
+    reduced; reduced words are a normal form, so the images are those of
+    any other evaluation order.  This is a total function and the
+    equality oracle's entire substance: words are equal in B_n iff their
+    images coincide.
     """
-    images = [[j] for j in range(1, word.n + 1)]
-    for letter in word.letters:
-        images = _act_letter(images, letter)
-    return tuple(tuple(img) for img in images)
+    images: list[FreeWord] = [(j,) for j in range(1, word.n + 1)]
+    for letter in reversed(word.letters):
+        i = abs(letter) - 1
+        left, right = images[i], images[i + 1]
+        if letter > 0:
+            images[i] = _product(left, right, _inverse(left))
+            images[i + 1] = left
+        else:
+            images[i] = right
+            images[i + 1] = _product(_inverse(right), left, right)
+    return tuple(images)
 
 
 def permutation(word: BraidWord) -> Permutation:

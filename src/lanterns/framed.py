@@ -191,10 +191,16 @@ def outer_boundary_twist(n: int) -> FramedElement:
 
 
 def conjugated_twist(descriptor: TwistDescriptor) -> FramedElement:
-    """Dehn twist about the interior curve a descriptor pins down."""
+    """Dehn twist about the interior curve a descriptor pins down.
+
+    The braid conjugator * block full twist * conjugator^{-1} is built as
+    one word, so each letter is validated once.
+    """
+    conjugator = descriptor.conjugator.letters
     n = descriptor.conjugator.n
     a, b = descriptor.block
-    braid = descriptor.conjugator * full_twist_block(n, a, b) * descriptor.conjugator.inverse()
+    twist = full_twist_block(n, a, b).letters
+    braid = BraidWord(n, conjugator + twist + tuple(-x for x in reversed(conjugator)))
     framing = tuple(1 if k in descriptor.enclosed else 0 for k in range(1, n + 1))
     return FramedElement(braid, framing)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -231,50 +232,63 @@ def line_multiplicities(arr: Arrangement, points: Sequence[IntersectionPoint] | 
     return mu
 
 
-def _order_at(arr: Arrangement, x: Fraction) -> tuple[int, ...]:
-    heights = sorted(arr.lines, key=lambda line: line.y_at(x), reverse=True)
-    values = [line.y_at(x) for line in heights]
-    if len(set(values)) != len(values):
-        raise InvariantViolation(f"sample x={x} hits an intersection; bad sample choice")
-    return tuple(line.id for line in heights)
+def _check_orders(
+    arr: Arrangement, samples: Sequence[Fraction], orders: Sequence[tuple[int, ...]]
+) -> None:
+    """At each sample x the heights must strictly decrease along its order.
+
+    That holds exactly when sorting the lines by height at x gives the
+    order with no two heights equal, at n evaluations and no sort.  With
+    D the common denominator of all coefficients and x = p/q, the integer
+    D*q*y = (D*slope)*p + (D*intercept)*q orders the heights exactly.
+    """
+    scale = lcm(*(v.denominator for line in arr.lines for v in (line.slope, line.intercept)))
+    coefficients = [(int(line.slope * scale), int(line.intercept * scale)) for line in arr.lines]
+    for j, (x, order) in enumerate(zip(samples, orders)):
+        p, q = x.numerator, x.denominator
+        heights = [m * p + c * q for m, c in (coefficients[i - 1] for i in order)]
+        for k in range(len(order) - 1):
+            if heights[k] <= heights[k + 1]:
+                raise InvariantViolation(
+                    f"profile {j} is {order}, but at x={x} line {order[k]} is not "
+                    f"above line {order[k + 1]}"
+                )
 
 
-def order_profiles(arr: Arrangement) -> tuple[OrderProfile, ...]:
+def order_profiles(
+    arr: Arrangement, points: Sequence[IntersectionPoint] | None = None
+) -> tuple[OrderProfile, ...]:
     """The fiber orders O_0 .. O_s over the intervals between projections.
 
-    O_0 is the identity order (1, ..., n); O_j arises from O_{j-1} by
-    reversing the contiguous block of lines through the rank-j point.  Both
-    facts are recomputed and enforced; a violation aborts because it can
-    only mean broken arithmetic, never bad input.
+    The orders are derived from the combinatorics: O_0 is the identity
+    order (1, ..., n), and O_j arises from O_{j-1} by reversing the block of
+    lines through the rank-j point, which must be contiguous.  Each O_j is
+    then checked against the geometry: at a sample x inside its interval
+    the heights strictly decrease along O_j.  A violation aborts because it
+    can only mean broken arithmetic, never bad input.  `points` are the
+    arrangement's intersections in rank order, computed when not given.
     """
     if arr.n == 1:
         return (OrderProfile(0, (1,)),)
-    points = intersections(arr)
+    if points is None:
+        points = intersections(arr)
     xs = [p.x for p in points]
     samples = [xs[0] + 1]
     samples += [(xs[j] + xs[j + 1]) / 2 for j in range(len(xs) - 1)]
     samples += [xs[-1] - 1]
 
-    profiles = [OrderProfile(j, _order_at(arr, x)) for j, x in enumerate(samples)]
-    if profiles[0].order != tuple(range(1, arr.n + 1)):
-        raise InvariantViolation(
-            f"basepoint order {profiles[0].order} is not the identity; "
-            "slope ordering is broken"
-        )
+    orders = [tuple(range(1, arr.n + 1))]
     for j, point in enumerate(points, start=1):
-        prev = profiles[j - 1].order
+        prev = orders[-1]
         positions = sorted(prev.index(line_id) for line_id in point.lines)
         lo, hi = positions[0], positions[-1]
         if positions != list(range(lo, hi + 1)):
             raise InvariantViolation(
                 f"lines {point.lines} not contiguous in profile {j - 1}: {prev}"
             )
-        expected = prev[:lo] + tuple(reversed(prev[lo : hi + 1])) + prev[hi + 1 :]
-        if profiles[j].order != expected:
-            raise InvariantViolation(
-                f"profile {j} is {profiles[j].order}, expected block reversal {expected}"
-            )
-    return tuple(profiles)
+        orders.append(prev[:lo] + prev[lo : hi + 1][::-1] + prev[hi + 1 :])
+    _check_orders(arr, samples, orders)
+    return tuple(OrderProfile(j, order) for j, order in enumerate(orders))
 
 
 def _shear_lines(arr: Arrangement, t: Fraction) -> Arrangement | None:

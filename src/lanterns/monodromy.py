@@ -36,7 +36,9 @@ The first equality is free cancellation (beta_{k+1}^{-1} beta_k =
 D_k^{-1}), and `compose_all` performs it as it builds the product, so the
 right-hand word is literally [D_1 ... D_s][D_s ... D_1], with n(n-1)
 letters.  The second equality, with the full twist on the left side, is
-still decided by the Artin oracle in `verify_relation`.
+still decided by the Artin oracle in `verify_relation` (which lives in
+`relation`, so a parsed report can be re-checked there, and is re-exported
+here).
 
 `lantern_relation` only reads the factor lists off the combinatorics (the
 exponents mu_L - 1 and the descriptors in temporal order); `Relation`
@@ -45,10 +47,10 @@ derives both words from them when `verify_relation` first needs them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
-from .braids import BraidWord, artin_image, half_twist_block
+from .braids import BraidWord, half_twist_block
 from .framed import (
     FramedElement,
     TwistDescriptor,
@@ -64,7 +66,7 @@ from .geometry import (
     line_multiplicities,
     order_profiles,
 )
-from .relation import Relation, VerificationReport, Witness
+from .relation import Relation, verify_relation
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     re-checked at construction for every point.
     """
     points = intersections(arr)
-    profiles = order_profiles(arr)
+    profiles = order_profiles(arr, points)
     beta_letters: list[int] = []
     twists: list[PointTwist] = []
     for point in points:
@@ -136,33 +138,10 @@ def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:
     )
 
 
-def verify_relation(relation: Relation) -> VerificationReport:
-    """Decide the relation exactly; failure is a report, not an exception.
-
-    The framing check amounts to "the framing at every line equals mu_L on
-    both sides"; the braid check is the nontrivial identity between the
-    full twist and the product of conjugated block twists.  On braid
-    failure the report carries the first free-group generator whose images
-    differ, with both image words.
-    """
-    lhs, rhs = relation.lhs_element, relation.rhs_element
-    framing_ok = lhs.framing == rhs.framing
-    lhs_images = artin_image(lhs.braid)
-    rhs_images = artin_image(rhs.braid)
-    braid_ok = lhs_images == rhs_images
-    witness = None
-    if not braid_ok:
-        for j, (left, right) in enumerate(zip(lhs_images, rhs_images), start=1):
-            if left != right:
-                witness = Witness(j, left, right)
-                break
-    return VerificationReport(braid_ok, framing_ok, witness)
-
-
 def verified_relation(arr: Arrangement, name: str = "lantern") -> Relation:
     """Convenience: the relation with its verification report attached."""
     relation = lantern_relation(arr, name)
-    return replace(relation, report=verify_relation(relation))
+    return relation.with_report(verify_relation(relation))
 
 
 def total_monodromy(arr: Arrangement) -> FramedElement:

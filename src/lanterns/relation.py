@@ -15,17 +15,18 @@ from them, never stored, so no stored word can disagree with the factors.
 
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
 (schema `lantern-relation/2`, lossless; `parse_relation` inverts it
-exactly, and still reads schema 1, checking its stored words).
+exactly, and still reads schema 1, checking its stored words; a stored
+report is recomputed and must agree).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Any
 
-from .braids import BraidWord, FreeWord
+from .braids import BraidWord, FreeWord, artin_image
 from .framed import (
     FramedElement,
     TwistDescriptor,
@@ -97,6 +98,37 @@ class Relation:
     def rhs_element(self) -> FramedElement:
         """The conjugated interior twists, composed in temporal order."""
         return compose_all((conjugated_twist(d) for d in self.rhs), n=self.n)
+
+    def with_report(self, report: VerificationReport) -> Relation:
+        """This relation with `report` attached; side words already derived carry over."""
+        attached = replace(self, report=report)
+        for name in ("lhs_element", "rhs_element"):
+            if name in self.__dict__:
+                attached.__dict__[name] = self.__dict__[name]
+        return attached
+
+
+def verify_relation(relation: Relation) -> VerificationReport:
+    """Decide the relation exactly; failure is a report, not an exception.
+
+    The framing check amounts to "the framing at every line equals mu_L on
+    both sides"; the braid check is the nontrivial identity between the
+    full twist and the product of conjugated block twists.  On braid
+    failure the report carries the first free-group generator whose images
+    differ, with both image words.
+    """
+    lhs, rhs = relation.lhs_element, relation.rhs_element
+    framing_ok = lhs.framing == rhs.framing
+    lhs_images = artin_image(lhs.braid)
+    rhs_images = artin_image(rhs.braid)
+    braid_ok = lhs_images == rhs_images
+    witness = None
+    if not braid_ok:
+        for j, (left, right) in enumerate(zip(lhs_images, rhs_images), start=1):
+            if left != right:
+                witness = Witness(j, left, right)
+                break
+    return VerificationReport(braid_ok, framing_ok, witness)
 
 
 def _lhs_text(relation: Relation) -> list[str]:
@@ -206,10 +238,8 @@ def _check_v1_sides(data: dict[str, Any], relation: Relation) -> None:
                 raise ValueError(f"stored {side} word is not the product of its factors")
 
 
-def relation_from_dict(data: dict[str, Any]) -> Relation:
-    schema = data.get("schema")
-    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V1):
-        raise ValueError(f"unsupported relation schema {schema!r}")
+def _relation_fields(data: dict[str, Any]) -> tuple[Relation, VerificationReport | None]:
+    """The relation a document describes, without a report, and its stored report."""
     n = int(data["n"])
     rhs = tuple(
         TwistDescriptor(
@@ -220,27 +250,47 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
         )
         for entry in data["rhs"]
     )
-    report = None
-    if data.get("report") is not None:
-        rep = data["report"]
-        witness = None
-        if rep.get("witness") is not None:
-            witness = Witness(
-                rep["witness"]["generator"],
-                tuple(rep["witness"]["lhs_image"]),
-                tuple(rep["witness"]["rhs_image"]),
-            )
-        report = VerificationReport(rep["braid_ok"], rep["framing_ok"], witness)
     relation = Relation(
         name=data["name"],
         n=n,
         lhs=tuple((pair[0], pair[1]) for pair in data["lhs"]),
         rhs=rhs,
-        report=report,
     )
-    if schema == JSON_SCHEMA_V1:
-        _check_v1_sides(data, relation)
-    return relation
+    rep = data.get("report")
+    if rep is None:
+        return relation, None
+    witness = None
+    if rep.get("witness") is not None:
+        witness = Witness(
+            rep["witness"]["generator"],
+            tuple(rep["witness"]["lhs_image"]),
+            tuple(rep["witness"]["rhs_image"]),
+        )
+    return relation, VerificationReport(rep["braid_ok"], rep["framing_ok"], witness)
+
+
+def relation_from_dict(data: dict[str, Any]) -> Relation:
+    """Inverse of `relation_to_dict`; raises `ValueError` on any bad document.
+
+    A stored report is not trusted: it is recomputed from the parsed
+    factors and must agree, as a v1 document's stored words must.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a relation document is a JSON object, not {type(data).__name__}")
+    schema = data.get("schema")
+    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V1):
+        raise ValueError(f"unsupported relation schema {schema!r}")
+    try:
+        relation, report = _relation_fields(data)
+        if schema == JSON_SCHEMA_V1:
+            _check_v1_sides(data, relation)
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValueError(f"malformed {schema} document: {exc!r}") from exc
+    if report is None:
+        return relation
+    if verify_relation(relation) != report:
+        raise ValueError("stored report does not match the relation's factors")
+    return relation.with_report(report)
 
 
 def parse_relation(text: str) -> Relation:

@@ -219,3 +219,20 @@ def test_criterion_10_scale_n30():
     assert L.braids_equal(total.braid, L.full_twist_block(30, 1, 30))
     assert elapsed < 10.0
     print(f"criterion 10 PASS: n = 30 ({len(points)} points) pipeline in {elapsed:.2f}s")
+
+
+def test_criterion_11_scale_n40():
+    rng = random.Random(99)
+    arr, _ = L.shear_to_generic(random_arrangement(rng, 40, allow_concurrent=False))
+    points = L.intersections(arr)
+    assert len(points) == 760  # C(40, 2) = 780 pairs; seed 99 has accidental triple points
+    start = time.perf_counter()
+    relation = L.lantern_relation(arr)
+    report = L.verify_relation(relation)
+    total = L.total_monodromy(arr)
+    elapsed = time.perf_counter() - start
+    assert report.verified
+    assert total.framing == (0,) * 40
+    assert L.braids_equal(total.braid, L.full_twist_block(40, 1, 40))
+    assert elapsed < 10.0
+    print(f"criterion 11 PASS: n = 40 ({len(points)} points) pipeline in {elapsed:.2f}s")

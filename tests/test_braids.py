@@ -140,3 +140,55 @@ def test_word_algebra():
     assert (u**2).letters == (1, 2, 1, 2)
     assert (u**-1).letters == (-2, -1)
     assert len(u) == 2
+
+
+def _reference_act_letter(images, letter):
+    """One letter's automorphism applied to every image, reducing as it goes."""
+    i = abs(letter)
+    if letter > 0:
+        table = {i: (i, i + 1, -i), -i: (i, -(i + 1), -i), i + 1: (i,), -(i + 1): (-i,)}
+    else:
+        table = {
+            i: (i + 1,),
+            -i: (-(i + 1),),
+            i + 1: (-(i + 1), i, i + 1),
+            -(i + 1): (-(i + 1), -i, i + 1),
+        }
+    new_images = []
+    for word in images:
+        out = []
+        for x in word:
+            for y in table.get(x, (x,)):
+                if out and out[-1] == -y:
+                    out.pop()
+                else:
+                    out.append(y)
+        new_images.append(out)
+    return new_images
+
+
+def _reference_artin_image(word):
+    """The action read left to right: every letter rewrites all n images."""
+    images = [[j] for j in range(1, word.n + 1)]
+    for letter in word.letters:
+        images = _reference_act_letter(images, letter)
+    return tuple(tuple(image) for image in images)
+
+
+def test_artin_image_matches_left_to_right_reference():
+    rng = random.Random(15)
+    for _ in range(2000):
+        n = rng.randint(1, 8)
+        length = 0 if n == 1 else rng.randint(0, 60)
+        word = random_braid(rng, n, length)
+        assert L.artin_image(word) == _reference_artin_image(word)
+
+
+def test_full_twist_image_is_conjugation_by_the_boundary_word():
+    # the full twist acts as conjugation by x_1 ... x_n
+    for n in range(2, 31):
+        images = L.artin_image(L.full_twist_block(n, 1, n))
+        boundary = tuple(range(1, n + 1))
+        inverse = tuple(-x for x in reversed(boundary))
+        for j in range(1, n + 1):
+            assert images[j - 1] == L.free_reduce(boundary + (j,) + inverse)

@@ -1,6 +1,7 @@
 """Exact-geometry behavior: validation, intersections, profiles, shear."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -83,6 +84,18 @@ def test_two_line_profiles():
     arr = L.validate_arrangement([(1, 0), (-1, 0)])
     profiles = L.order_profiles(arr)
     assert [p.order for p in profiles] == [(1, 2), (2, 1)]
+
+
+def test_order_profiles_with_swapped_ranks_fail_the_geometry_check():
+    arr, _ = L.shear_to_generic(random_arrangement(random.Random(5), 6, allow_concurrent=False))
+    points = list(L.intersections(arr))
+    assert L.order_profiles(arr, points) == L.order_profiles(arr)
+    for j in range(len(points) - 1):
+        swapped = list(points)
+        swapped[j] = replace(points[j + 1], rank=j + 1)
+        swapped[j + 1] = replace(points[j], rank=j + 2)
+        with pytest.raises(L.InvariantViolation):
+            L.order_profiles(arr, swapped)
 
 
 def test_shear_identity_on_generic(worked):

@@ -145,6 +145,15 @@ def test_verified_relation_attaches_report(worked):
     assert relation.report is not None and relation.report.verified
 
 
+def test_verified_relation_keeps_the_derived_sides(worked, monkeypatch):
+    relation = L.verified_relation(worked)
+    calls = []
+    monkeypatch.setattr("lanterns.relation.conjugated_twist", lambda d: calls.append(d))
+    assert relation.rhs_element.framing == (2, 2, 2)
+    assert relation.lhs_element.framing == (2, 2, 2)
+    assert calls == []
+
+
 def _telescoped(arr):
     """[D_1 ... D_s][D_s ... D_1], D_j the half twist of the rank-j block."""
     blocks = [

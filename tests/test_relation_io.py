@@ -66,6 +66,35 @@ def test_swapped_factor_json_does_not_verify(worked):
     assert report.witness is not None
 
 
+def test_swapped_factor_json_with_kept_report_is_rejected(worked):
+    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data["rhs"][0], data["rhs"][1] = data["rhs"][1], data["rhs"][0]
+    assert data["report"]["verified"]
+    with pytest.raises(ValueError, match="stored report"):
+        L.parse_relation(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"schema": "lantern-relation/2", "n": 3},
+        {
+            "schema": "lantern-relation/2",
+            "name": "lantern",
+            "n": 3,
+            "lhs": [[0, 1]],
+            "rhs": [{"label": "a12", "conjugator": 5, "block": [1, 2], "enclosed": [1, 2]}],
+            "report": None,
+        },
+        [],
+    ],
+    ids=["missing-rhs", "conjugator-not-a-list", "top-level-list"],
+)
+def test_malformed_relation_json_raises_value_error(document):
+    with pytest.raises(ValueError):
+        L.parse_relation(json.dumps(document))
+
+
 def _v1_dict(relation, rhs_letters):
     """`relation` as a lantern-relation/1 document, right side spelled `rhs_letters`."""
     data = L.relation_to_dict(relation)
