@@ -62,6 +62,7 @@ from .framed import (
     outer_boundary_twist,
     to_braid,
     twist_label,
+    twist_product,
 )
 from .geometry import (
     Arrangement,

@@ -17,6 +17,15 @@ letter back, so each letter rewrites only the two images it touches; every
 image is kept freely reduced, which makes image equality word equality in
 the free group.
 
+Every word carries its strand permutation, computed once: a product u * v
+composes the permutations of u and v in O(n), an inverse inverts its
+word's, and the block twists know theirs in closed form, so only a word
+spelled letter by letter pays a pass over its letters.  Letters are
+validated where they enter a word, with builtins (`min`, `max`, `in` and
+the set of their types) rather than a per-letter loop; products and
+inverses of checked words, and block twists, are valid by construction and
+are not re-checked.
+
 The convention makes sigma_i the counterclockwise (positive) half twist of
 two adjacent strands; it is pinned operationally by the relation tests
 downstream (the classical lantern verifies, and flipping the sign breaks
@@ -26,6 +35,8 @@ it), not by prose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from operator import neg
 from typing import Iterable
 
 # A freely reduced word in the free group: signed generator labels, +j for
@@ -49,21 +60,51 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"strand count must be >= 1, got {self.n}")
+        n, letters = self.n, self.letters
+        if n < 1:
+            raise ValueError(f"strand count must be >= 1, got {n}")
+        if not letters:
+            return
+        types = set(map(type, letters))
+        if (
+            bool in types
+            or not all(issubclass(t, int) for t in types)
+            or 0 in letters
+            or min(letters) <= -n
+            or max(letters) >= n
+        ):
+            bad = next(
+                x
+                for x in letters
+                if type(x) is bool or not isinstance(x, int) or not 0 < abs(x) < n
+            )
+            raise ValueError(
+                f"letter {bad!r} is not a generator index in 1..{n - 1} or its negative"
+            )
+
+    @cached_property
+    def _permutation(self) -> Permutation:
+        at = list(range(1, self.n + 1))
         for letter in self.letters:
-            if not isinstance(letter, int) or letter == 0 or abs(letter) > self.n - 1:
-                raise ValueError(
-                    f"letter {letter!r} outside the generator range 1..{self.n - 1}"
-                )
+            i = abs(letter)
+            at[i - 1], at[i] = at[i], at[i - 1]
+        result = [0] * self.n
+        for position, strand in enumerate(at, start=1):
+            result[strand - 1] = position
+        return tuple(result)
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
             raise StrandCountMismatch(f"{self.n} strands vs {other.n} strands")
-        return BraidWord(self.n, self.letters + other.letters)
+        then = (0,) + other._permutation  # 1-based lookup
+        perm = tuple(map(then.__getitem__, self._permutation))
+        return _known(self.n, self.letters + other.letters, perm)
 
     def inverse(self) -> BraidWord:
-        return BraidWord(self.n, tuple(-letter for letter in reversed(self.letters)))
+        perm = [0] * self.n
+        for strand, position in enumerate(self._permutation, start=1):
+            perm[position - 1] = strand
+        return _known(self.n, inverse_letters(self.letters), tuple(perm))
 
     def __pow__(self, exponent: int) -> BraidWord:
         base = self if exponent >= 0 else self.inverse()
@@ -73,9 +114,30 @@ class BraidWord:
         return len(self.letters)
 
 
+def _known(n: int, letters: tuple[int, ...], perm: Permutation) -> BraidWord:
+    """A word whose letters are valid by construction and whose permutation is known.
+
+    Products and inverses of checked words, and the twists of a checked
+    block, qualify: their letters are not checked a second time.
+    """
+    word = object.__new__(BraidWord)
+    word.__dict__.update(n=n, letters=letters, _permutation=perm)
+    return word
+
+
 def generator(n: int, i: int) -> BraidWord:
     """The single generator sigma_i in B_n."""
     return BraidWord(n, (i,))
+
+
+def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:
+    """Push `letters` onto the freely reduced stack `out`, cancelling adjacent inverse pairs."""
+    for letter in letters:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return out
 
 
 def free_reduce(letters: Iterable[int]) -> FreeWord:
@@ -83,13 +145,12 @@ def free_reduce(letters: Iterable[int]) -> FreeWord:
 
     Used on free-group words and, as a braid-group identity, on braid words.
     """
-    out: list[int] = []
-    for letter in letters:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
+    return tuple(reduce_onto([], letters))
+
+
+def inverse_letters(word: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse word: letters reversed and negated."""
+    return tuple(map(neg, reversed(word)))
 
 
 def _product(*words: FreeWord) -> FreeWord:
@@ -102,10 +163,6 @@ def _product(*words: FreeWord) -> FreeWord:
             k += 1
         out = out[: len(out) - k] + word[k:]
     return out
-
-
-def _inverse(word: FreeWord) -> FreeWord:
-    return tuple(-x for x in reversed(word))
 
 
 def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
@@ -130,24 +187,17 @@ def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
         i = abs(letter) - 1
         left, right = images[i], images[i + 1]
         if letter > 0:
-            images[i] = _product(left, right, _inverse(left))
+            images[i] = _product(left, right, inverse_letters(left))
             images[i + 1] = left
         else:
             images[i] = right
-            images[i + 1] = _product(_inverse(right), left, right)
+            images[i + 1] = _product(inverse_letters(right), left, right)
     return tuple(images)
 
 
 def permutation(word: BraidWord) -> Permutation:
     """Start-position to end-position permutation of the strands."""
-    at = list(range(1, word.n + 1))
-    for letter in word.letters:
-        i = abs(letter)
-        at[i - 1], at[i] = at[i], at[i - 1]
-    result = [0] * word.n
-    for position, strand in enumerate(at, start=1):
-        result[strand - 1] = position
-    return tuple(result)
+    return word._permutation
 
 
 def exponent_sum(word: BraidWord) -> int:
@@ -187,13 +237,14 @@ def half_twist_block(n: int, a: int, b: int) -> BraidWord:
     letters: list[int] = []
     for top in range(a, b):
         letters.extend(range(top, a - 1, -1))
-    return BraidWord(n, tuple(letters))
+    perm = tuple(range(1, a)) + tuple(range(b, a - 1, -1)) + tuple(range(b + 1, n + 1))
+    return _known(n, tuple(letters), perm)
 
 
 def full_twist_block(n: int, a: int, b: int) -> BraidWord:
     """The full twist of the block a..b: the half twist squared, pure."""
     half = half_twist_block(n, a, b)
-    return BraidWord(n, half.letters * 2)
+    return _known(n, half.letters * 2, tuple(range(1, n + 1)))
 
 
 def boundary_word_image(word: BraidWord) -> FreeWord:

@@ -151,7 +151,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "results": payloads,
             "exit_code": worst,
         }
-        print(json.dumps(document, indent=2))
+        print(json.dumps(document))  # compact: an indent makes json encode in pure Python
     else:
         for payload in payloads:
             if "relation" in payload:

@@ -15,8 +15,10 @@ appear solely inside twist descriptors as conjugators.
 Products are freely reduced as they are built: `compose_all` cancels every
 adjacent sigma_i sigma_i^{-1} pair across factor boundaries, which is a
 group identity, so a telescoping product is stored in its cancelled form.
-Reduction only shortens words; equality is still decided by the Artin
-oracle alone.
+`twist_product` builds the product of many conjugated twists without
+spelling out their conjugators: where consecutive conjugators share a
+prefix, only the tails beyond it are emitted.  Reduction only shortens
+words; equality is still decided by the Artin oracle alone.
 
 Dehn twist constructors:
 
@@ -37,16 +39,18 @@ Dehn twist constructors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable
 
 from .braids import (
     BraidWord,
     StrandCountMismatch,
     braids_equal,
-    free_reduce,
     full_twist_block,
+    inverse_letters,
     is_pure,
     permutation,
+    reduce_onto,
 )
 
 
@@ -157,24 +161,66 @@ def compose(a: FramedElement, b: FramedElement) -> FramedElement:
 def compose_all(factors: Iterable[FramedElement], n: int | None = None) -> FramedElement:
     """Temporal product of a sequence; the first factor acts first.
 
-    One pass: every factor's letters go onto one stack that pops on
-    sigma_i sigma_i^{-1}, so the product comes out freely reduced.  Free
-    reduction is a group identity, and the result is built once, so its
-    letters and purity are checked once per product.  Componentwise framing
-    addition is valid exactly because every factor is pure, so line labels
-    are position-stable across the composition.
+    One streaming pass: each factor's strand count is checked, its framing
+    added and its letters pushed onto one stack that pops on
+    sigma_i sigma_i^{-1} as it arrives, so no factor is held after its turn
+    and the product comes out freely reduced.  Free reduction is a group
+    identity, and the result is built once, so its letters and purity are
+    checked once per product.  Componentwise framing addition is valid
+    exactly because every factor is pure, so line labels are
+    position-stable across the composition.
     """
-    factors = tuple(factors)
-    if n is None:
-        if not factors:
-            raise ValueError("empty product needs an explicit strand count")
-        n = factors[0].n
+    letters: list[int] = []
+    framing = None
     for factor in factors:
-        if factor.n != n:
+        if n is None:
+            n = factor.n
+        elif factor.n != n:
             raise StrandCountMismatch(f"{n} strands vs {factor.n} strands")
-    letters = free_reduce(letter for factor in factors for letter in factor.braid.letters)
-    framing = tuple(map(sum, zip(*(factor.framing for factor in factors)))) or (0,) * n
-    return FramedElement(BraidWord(n, letters), framing)
+        framing = factor.framing if framing is None else tuple(map(add, framing, factor.framing))
+        reduce_onto(letters, factor.braid.letters)
+    if n is None:
+        raise ValueError("empty product needs an explicit strand count")
+    return FramedElement(BraidWord(n, tuple(letters)), framing or (0,) * n)
+
+
+def _common_prefix(u: tuple[int, ...], v: tuple[int, ...]) -> int:
+    """Length of the longest common prefix; one slice comparison when one word extends the other."""
+    k = min(len(u), len(v))
+    if u[:k] == v[:k]:
+        return k
+    return next(i for i, (x, y) in enumerate(zip(u, v)) if x != y)
+
+
+def twist_product(descriptors: Iterable[TwistDescriptor], n: int) -> FramedElement:
+    """Temporal product of the descriptors' conjugated twists, built as one word.
+
+    The product c_1 F_1 c_1^{-1} c_2 F_2 c_2^{-1} ... (F_k the full twist
+    of block k) is emitted with each junction c_k^{-1} c_{k+1} spelled as
+    the inverse of c_k's tail times c_{k+1}'s tail beyond their longest
+    common prefix: the prefix and its inverse cancel freely.  The stream is
+    freely reduced once, and the free reduction of a word is unique, so the
+    result is letter for letter `compose_all` of the `conjugated_twist`s,
+    without a pass over the conjugators' shared letters.  Each descriptor
+    checked its consistency when it was built; the product is checked for
+    purity here.
+    """
+    letters: list[int] = []
+    framing = [0] * n
+    previous: tuple[int, ...] = ()
+    for descriptor in descriptors:
+        if descriptor.conjugator.n != n:
+            raise StrandCountMismatch(f"{n} strands vs {descriptor.conjugator.n} strands")
+        conjugator = descriptor.conjugator.letters
+        k = _common_prefix(previous, conjugator)
+        reduce_onto(letters, inverse_letters(previous[k:]))
+        reduce_onto(letters, conjugator[k:])
+        reduce_onto(letters, full_twist_block(n, *descriptor.block).letters)
+        for line_id in descriptor.enclosed:
+            framing[line_id - 1] += 1
+        previous = conjugator
+    reduce_onto(letters, inverse_letters(previous))
+    return FramedElement(BraidWord(n, tuple(letters)), tuple(framing))
 
 
 def inner_boundary_twist(n: int, line_id: int) -> FramedElement:
@@ -193,14 +239,12 @@ def outer_boundary_twist(n: int) -> FramedElement:
 def conjugated_twist(descriptor: TwistDescriptor) -> FramedElement:
     """Dehn twist about the interior curve a descriptor pins down.
 
-    The braid conjugator * block full twist * conjugator^{-1} is built as
-    one word, so each letter is validated once.
+    The braid is conjugator * block full twist * conjugator^{-1}; its
+    permutation is composed from the pieces', so the purity check is O(n).
     """
-    conjugator = descriptor.conjugator.letters
-    n = descriptor.conjugator.n
-    a, b = descriptor.block
-    twist = full_twist_block(n, a, b).letters
-    braid = BraidWord(n, conjugator + twist + tuple(-x for x in reversed(conjugator)))
+    conjugator = descriptor.conjugator
+    n = conjugator.n
+    braid = conjugator * full_twist_block(n, *descriptor.block) * conjugator.inverse()
     framing = tuple(1 if k in descriptor.enclosed else 0 for k in range(1, n + 1))
     return FramedElement(braid, framing)
 

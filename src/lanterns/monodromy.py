@@ -33,12 +33,18 @@ is the braid part of the arrangement's relation; framings do the boundary
 bookkeeping on top of it.
 
 The first equality is free cancellation (beta_{k+1}^{-1} beta_k =
-D_k^{-1}), and `compose_all` performs it as it builds the product, so the
-right-hand word is literally [D_1 ... D_s][D_s ... D_1], with n(n-1)
-letters.  The second equality, with the full twist on the left side, is
-still decided by the Artin oracle in `verify_relation` (which lives in
-`relation`, so a parsed report can be re-checked there, and is re-exported
-here).
+D_k^{-1}), and `twist_product` performs it as it builds the product: each
+beta_{k+1} extends beta_k, so the junction between two twists is emitted
+as D_k^{-1} alone, and the right-hand word is literally
+[D_1 ... D_s][D_s ... D_1], with n(n-1) letters.  The second equality,
+with the full twist on the left side, is still decided by the Artin
+oracle in `verify_relation` (which lives in `relation`, so a parsed report
+can be re-checked there, and is re-exported here).
+
+`total_monodromy` is the same product with each loop's inner twists
+divided out.  Inner twists carry the empty braid, so they leave the word
+of `twist_product` unchanged and only subtract, from each line's framing,
+the number of points on it.
 
 `lantern_relation` only reads the factor lists off the combinatorics (the
 exponents mu_L - 1 and the descriptors in temporal order); `Relation`
@@ -47,6 +53,7 @@ derives both words from them when `verify_relation` first needs them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -58,6 +65,7 @@ from .framed import (
     conjugated_twist,
     inner_boundary_twist,
     twist_label,
+    twist_product,
 )
 from .geometry import (
     Arrangement,
@@ -101,22 +109,23 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     `order_profiles` checks that the lines through each point are
     contiguous in the fiber order; the descriptor consistency (the
     conjugator really carries the enclosed lines onto the block) is
-    re-checked at construction for every point.
+    re-checked at construction for every point.  Each conjugator is the
+    previous one times one block half twist, so its permutation is
+    composed in O(n) and the check never re-reads the shared letters.
     """
     points = intersections(arr)
     profiles = order_profiles(arr, points)
-    beta_letters: list[int] = []
+    beta = BraidWord(arr.n)
     twists: list[PointTwist] = []
     for point in points:
         before = profiles[point.rank - 1].order
         positions = sorted(before.index(line_id) + 1 for line_id in point.lines)
         lo, hi = positions[0], positions[-1]
-        conjugator = BraidWord(arr.n, tuple(beta_letters))
         descriptor = TwistDescriptor(
-            conjugator, (lo, hi), frozenset(point.lines), twist_label(point.lines)
+            beta, (lo, hi), frozenset(point.lines), twist_label(point.lines)
         )
         twists.append(PointTwist(point, descriptor))
-        beta_letters.extend(half_twist_block(arr.n, lo, hi).letters)
+        beta = beta * half_twist_block(arr.n, lo, hi)
     return MonodromyData(arr, tuple(twists))
 
 
@@ -147,19 +156,18 @@ def verified_relation(arr: Arrangement, name: str = "lantern") -> Relation:
 def total_monodromy(arr: Arrangement) -> FramedElement:
     """Monodromy of the big circle around all intersection projections.
 
-    Composes the loop monodromies (product of inner twists of the incident
-    lines)^{-1} * alpha_k in temporal order, leftmost point first, as one
-    freely reduced product.  For every valid generic arrangement this
-    equals the full twist with zero framing, which is deformation
-    invariance made computational: sliding all lines into a pencil cannot
-    change what happens at infinity.
+    The loop around the rank-k point acts as (product of inner twists of
+    the incident lines)^{-1} * alpha_k; the loops compose in temporal
+    order, leftmost point first.  Inner twists carry the empty braid, so
+    they commute with every factor and only subtract framing: the product
+    is `twist_product` of the descriptors (one freely reduced word) times
+    each line's inner twist to minus its number of points.  For every
+    valid generic arrangement this equals the full twist with zero
+    framing, which is deformation invariance made computational: sliding
+    all lines into a pencil cannot change what happens at infinity.
     """
     data = braid_monodromy(arr)
-
-    def loops():
-        for twist in reversed(data.twists):
-            for line_id in twist.point.lines:
-                yield inner_boundary_twist(arr.n, line_id).inverse()
-            yield twist.element
-
-    return compose_all(loops(), n=arr.n)
+    loops = twist_product((t.descriptor for t in reversed(data.twists)), arr.n)
+    incidences = Counter(line_id for t in data.twists for line_id in t.point.lines)
+    inner = (inner_boundary_twist(arr.n, line_id) ** -k for line_id, k in incidences.items())
+    return compose_all((loops, *inner), n=arr.n)

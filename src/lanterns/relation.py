@@ -32,10 +32,10 @@ from .framed import (
     TwistDescriptor,
     boundary_label,
     compose_all,
-    conjugated_twist,
     elements_equal,
     inner_boundary_twist,
     outer_boundary_twist,
+    twist_product,
 )
 
 JSON_SCHEMA = "lantern-relation/2"
@@ -97,7 +97,7 @@ class Relation:
     @cached_property
     def rhs_element(self) -> FramedElement:
         """The conjugated interior twists, composed in temporal order."""
-        return compose_all((conjugated_twist(d) for d in self.rhs), n=self.n)
+        return twist_product(self.rhs, self.n)
 
     def with_report(self, report: VerificationReport) -> Relation:
         """This relation with `report` attached; side words already derived carry over."""
@@ -167,8 +167,35 @@ def format_latex(relation: Relation) -> str:
     return f"{lhs} = {rhs}"
 
 
+def _int(value: Any, field: str) -> int:
+    """A JSON integer; bools, floats and strings are refused, not coerced."""
+    if type(value) is not int:
+        raise ValueError(f"{field} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _ints(values: Any, field: str) -> tuple[int, ...]:
+    values = tuple(values)
+    if not set(map(type, values)) <= {int}:
+        raise ValueError(f"{field} must hold JSON integers only")
+    return values
+
+
+def _pair(values: Any, field: str) -> tuple[int, int]:
+    pair = _ints(values, field)
+    if len(pair) != 2:
+        raise ValueError(f"{field} must be two JSON integers, got {len(pair)}")
+    return pair
+
+
+def _bool(value: Any, field: str) -> bool:
+    if type(value) is not bool:
+        raise ValueError(f"{field} must be a JSON boolean, got {value!r}")
+    return value
+
+
 def _element_from_dict(data: dict[str, Any], n: int) -> FramedElement:
-    return FramedElement(BraidWord(n, tuple(data["braid"])), tuple(data["framing"]))
+    return FramedElement(BraidWord(n, tuple(data["braid"])), _ints(data["framing"], "framing"))
 
 
 def _report_dict(report: VerificationReport) -> dict[str, Any]:
@@ -208,7 +235,8 @@ def relation_to_dict(relation: Relation) -> dict[str, Any]:
 
 
 def format_json(relation: Relation) -> str:
-    return json.dumps(relation_to_dict(relation), indent=2) + "\n"
+    # Compact on purpose: with an indent the stdlib encodes in pure Python.
+    return json.dumps(relation_to_dict(relation)) + "\n"
 
 
 def export_relation(relation: Relation, fmt: str) -> str:
@@ -238,22 +266,42 @@ def _check_v1_sides(data: dict[str, Any], relation: Relation) -> None:
                 raise ValueError(f"stored {side} word is not the product of its factors")
 
 
+def _conjugators(entries: list[dict[str, Any]], n: int) -> list[BraidWord]:
+    """The stored conjugators, every letter validated.
+
+    A conjugator that extends the next entry's (the telescoping case, where
+    every conjugator is a prefix of the one stored before it) is built as
+    that one times its tail, so its permutation costs the tail's letters.
+    """
+    conjugators: list[BraidWord] = []
+    following = BraidWord(n)
+    for entry in reversed(entries):
+        word = BraidWord(n, tuple(entry["conjugator"]))
+        k = len(following)
+        if word.letters[:k] == following.letters:
+            word = following * BraidWord(n, word.letters[k:])
+        conjugators.append(word)
+        following = word
+    return conjugators[::-1]
+
+
 def _relation_fields(data: dict[str, Any]) -> tuple[Relation, VerificationReport | None]:
     """The relation a document describes, without a report, and its stored report."""
-    n = int(data["n"])
+    n = _int(data["n"], "n")
+    entries = data["rhs"]
     rhs = tuple(
         TwistDescriptor(
-            BraidWord(n, tuple(entry["conjugator"])),
-            (entry["block"][0], entry["block"][1]),
-            frozenset(entry["enclosed"]),
+            conjugator,
+            _pair(entry["block"], "block"),
+            frozenset(_ints(entry["enclosed"], "enclosed")),
             entry["label"],
         )
-        for entry in data["rhs"]
+        for entry, conjugator in zip(entries, _conjugators(entries, n))
     )
     relation = Relation(
         name=data["name"],
         n=n,
-        lhs=tuple((pair[0], pair[1]) for pair in data["lhs"]),
+        lhs=tuple(_pair(pair, "lhs pair") for pair in data["lhs"]),
         rhs=rhs,
     )
     rep = data.get("report")
@@ -262,11 +310,13 @@ def _relation_fields(data: dict[str, Any]) -> tuple[Relation, VerificationReport
     witness = None
     if rep.get("witness") is not None:
         witness = Witness(
-            rep["witness"]["generator"],
-            tuple(rep["witness"]["lhs_image"]),
-            tuple(rep["witness"]["rhs_image"]),
+            _int(rep["witness"]["generator"], "witness generator"),
+            _ints(rep["witness"]["lhs_image"], "witness image"),
+            _ints(rep["witness"]["rhs_image"], "witness image"),
         )
-    return relation, VerificationReport(rep["braid_ok"], rep["framing_ok"], witness)
+    return relation, VerificationReport(
+        _bool(rep["braid_ok"], "braid_ok"), _bool(rep["framing_ok"], "framing_ok"), witness
+    )
 
 
 def relation_from_dict(data: dict[str, Any]) -> Relation:

@@ -236,3 +236,21 @@ def test_criterion_11_scale_n40():
     assert L.braids_equal(total.braid, L.full_twist_block(40, 1, 40))
     assert elapsed < 10.0
     print(f"criterion 11 PASS: n = 40 ({len(points)} points) pipeline in {elapsed:.2f}s")
+
+
+def test_criterion_12_scale_n60():
+    rng = random.Random(99)
+    arr, _ = L.shear_to_generic(random_arrangement(rng, 60, allow_concurrent=False))
+    points = L.intersections(arr)
+    assert len(points) == 1690  # C(60, 2) = 1770 pairs; seed 99 has accidental triple points
+    start = time.perf_counter()
+    relation = L.verified_relation(arr)
+    total = L.total_monodromy(arr)
+    parsed = L.parse_relation(L.export_relation(relation, "json"))
+    elapsed = time.perf_counter() - start
+    assert relation.report.verified
+    assert total.framing == (0,) * 60
+    assert L.braids_equal(total.braid, L.full_twist_block(60, 1, 60))
+    assert parsed == relation
+    assert elapsed < 10.0
+    print(f"criterion 12 PASS: n = 60 ({len(points)} points), with round trip, in {elapsed:.2f}s")

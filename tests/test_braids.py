@@ -1,6 +1,9 @@
 """Braid engine: the Artin oracle, twist words, invariants, fast paths."""
 
 import random
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
 
 import pytest
 
@@ -192,3 +195,63 @@ def test_full_twist_image_is_conjugation_by_the_boundary_word():
         inverse = tuple(-x for x in reversed(boundary))
         for j in range(1, n + 1):
             assert images[j - 1] == L.free_reduce(boundary + (j,) + inverse)
+
+
+def _reference_permutation(n, letters):
+    """The per-letter loop: swap the strands at each letter's two positions."""
+    at = list(range(1, n + 1))
+    for letter in letters:
+        i = abs(letter)
+        at[i - 1], at[i] = at[i], at[i - 1]
+    result = [0] * n
+    for position, strand in enumerate(at, start=1):
+        result[strand - 1] = position
+    return tuple(result)
+
+
+def test_composed_permutations_match_the_letter_loop():
+    rng = random.Random(16)
+    for _ in range(2000):
+        n = rng.randint(1, 9)
+        u, v, w = (random_braid(rng, n, 0 if n == 1 else rng.randint(0, 20)) for _ in range(3))
+        for word in (u * v, u * v * w, (u * v).inverse(), u.inverse() * w, w**-2):
+            assert L.permutation(word) == _reference_permutation(n, word.letters)
+        a = rng.randint(1, n)
+        b = rng.randint(a, n)
+        for twist in (L.half_twist_block(n, a, b), L.full_twist_block(n, a, b)):
+            assert L.permutation(twist) == _reference_permutation(n, twist.letters)
+            product = u * twist
+            assert L.permutation(product) == _reference_permutation(n, product.letters)
+
+
+def _reference_rejects(n, letter):
+    """The per-letter validator the builtin checks replaced."""
+    return not isinstance(letter, int) or letter == 0 or abs(letter) > n - 1
+
+
+class _Index(IntEnum):
+    ONE = 1
+    TWO = 2
+    FIVE = 5
+
+
+def test_validator_rejects_exactly_the_reference_letters():
+    candidates = [*range(-7, 8), 10**30, -(10**30), _Index.ONE, _Index.TWO, _Index.FIVE]
+    candidates += [1.0, -2.0, 0.5, Fraction(1), Decimal(2), 1j, "1", None, (1,), [2]]
+    for n in range(1, 7):
+        for letter in candidates:
+            words = [(letter,)] if n == 1 else [(letter,), (1, letter), (letter, -1)]
+            for word in words:
+                rejected = any(_reference_rejects(n, x) for x in word)
+                try:
+                    BraidWord(n, word)
+                except ValueError:
+                    assert rejected, (n, word)
+                else:
+                    assert not rejected, (n, word)
+
+
+def test_bool_letters_rejected():
+    for word in ((True,), (1, True), (False,), (2, -1, True)):
+        with pytest.raises(ValueError):
+            BraidWord(3, word)

@@ -203,3 +203,67 @@ def test_compose_cancels_inverse_and_checks_strand_counts():
         L.compose(twist, L.inner_boundary_twist(4, 1))
     with pytest.raises(L.StrandCountMismatch):
         L.compose_all([L.outer_boundary_twist(3), L.outer_boundary_twist(4)])
+
+
+def _descriptor_chain(rng, n, count):
+    """Seeded descriptors whose conjugators extend, truncate or replace the previous one."""
+    conjugator = random_braid(rng, n, rng.randint(0, 10))
+    descriptors = []
+    for _ in range(count):
+        step = rng.random()
+        if step < 0.4:
+            conjugator = conjugator * random_braid(rng, n, rng.randint(0, 6))
+        elif step < 0.7:
+            conjugator = BraidWord(n, conjugator.letters[: rng.randint(0, len(conjugator))])
+        else:
+            conjugator = random_braid(rng, n, rng.randint(0, 10))
+        perm = L.permutation(conjugator)
+        a = rng.randint(1, n)
+        b = rng.randint(a, n)
+        enclosed = frozenset(line for line in range(1, n + 1) if a <= perm[line - 1] <= b)
+        descriptors.append(TwistDescriptor(conjugator, (a, b), enclosed))
+    return descriptors
+
+
+def test_twist_product_is_the_composed_conjugated_twists():
+    rng = random.Random(31)
+    shortened = 0
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        descriptors = _descriptor_chain(rng, n, rng.randint(0, 8))
+        product = L.twist_product(descriptors, n)
+        assert product == L.compose_all((L.conjugated_twist(d) for d in descriptors), n=n)
+        raw = sum(len(L.conjugated_twist(d).braid) for d in descriptors)
+        shortened += len(product.braid) < raw
+    assert shortened > 100  # shared prefixes really cancel
+    assert L.twist_product([], 4) == L.identity_element(4) == L.compose_all([], n=4)
+    telescoped = L.lantern_relation(L.make_daisy(6)).rhs
+    assert L.twist_product(telescoped, 6) == L.compose_all(
+        (L.conjugated_twist(d) for d in telescoped), n=6
+    )
+
+
+def test_twist_product_checks_strand_counts():
+    descriptor = TwistDescriptor(BraidWord(3, (2,)), (1, 2), frozenset({1, 3}))
+    with pytest.raises(L.StrandCountMismatch):
+        L.twist_product([descriptor], 4)
+    other = TwistDescriptor(BraidWord(4), (1, 2), frozenset({1, 2}))
+    with pytest.raises(L.StrandCountMismatch):
+        L.twist_product([descriptor, other], 3)
+
+
+def test_compose_all_streams_its_factors():
+    seen = []
+
+    def factors():
+        for k in (1, 2, 3, 1):
+            seen.append(k)
+            yield L.inner_boundary_twist(3, k)
+        seen.append("mismatch")
+        yield L.inner_boundary_twist(4, 1)
+        seen.append("never reached")
+
+    with pytest.raises(L.StrandCountMismatch):
+        L.compose_all(factors())
+    assert seen == [1, 2, 3, 1, "mismatch"]
+    assert L.compose_all(L.inner_boundary_twist(3, k) for k in (1, 2, 3, 1)).framing == (2, 1, 1)

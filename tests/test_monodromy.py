@@ -148,7 +148,7 @@ def test_verified_relation_attaches_report(worked):
 def test_verified_relation_keeps_the_derived_sides(worked, monkeypatch):
     relation = L.verified_relation(worked)
     calls = []
-    monkeypatch.setattr("lanterns.relation.conjugated_twist", lambda d: calls.append(d))
+    monkeypatch.setattr("lanterns.relation.twist_product", lambda *args: calls.append(args))
     assert relation.rhs_element.framing == (2, 2, 2)
     assert relation.lhs_element.framing == (2, 2, 2)
     assert calls == []

@@ -147,3 +147,48 @@ def test_export_determinism(worked):
     relation = L.verified_relation(worked)
     assert L.export_relation(relation, "json") == L.export_relation(relation, "json")
     assert L.export_relation(relation, "latex") == L.export_relation(relation, "latex")
+
+
+def _assign(data, path, value):
+    *keys, last = path
+    for key in keys:
+        data = data[key]
+    data[last] = value
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("rhs", 0, "conjugator", 1), True),
+        (("lhs", 1, 1), True),
+        (("lhs", 1, 0), True),
+        (("n",), 3.7),
+        (("n",), "3"),
+        (("rhs", 1, "block", 0), True),
+        (("rhs", 0, "enclosed", 0), True),
+        (("report", "braid_ok"), 1),
+    ],
+    ids=[
+        "conjugator-letter-true",
+        "lhs-exponent-true",
+        "lhs-boundary-true",
+        "n-float",
+        "n-string",
+        "block-true",
+        "enclosed-true",
+        "report-flag-int",
+    ],
+)
+def test_relation_json_integers_are_strict(worked, path, value):
+    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    assert L.parse_relation(json.dumps(data)).report.verified
+    _assign(data, path, value)
+    with pytest.raises(ValueError):
+        L.parse_relation(json.dumps(data))
+
+
+def test_json_export_is_compact_and_round_trips():
+    relation = L.verified_relation(L.make_doubled_daisy(6))
+    text = L.export_relation(relation, "json")
+    assert text.count("\n") == 1 and text.endswith("}\n")
+    assert L.export_relation(L.parse_relation(text), "json") == text
