@@ -3,8 +3,10 @@
 Exit codes, everywhere: 0 success, 1 relation failed to verify or a
 library invariant broke (for valid input either means a library bug, not a
 property of the input), 2 invalid input (parse errors, parallel lines,
-out-of-range n, unknown format), 3 intersection points sharing an
-x-coordinate when --shear was not given.
+out-of-range n, unknown format, a file that cannot be read or written),
+3 intersection points sharing an x-coordinate when --shear was not given.
+Every command fails through the one handler in `main`; `verify` also uses
+it per file, so a batch goes on past a bad file.
 
 With --json the only bytes on stdout are one JSON document; all
 diagnostics go to stderr.
@@ -161,20 +163,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return worst
 
 
+# Each maker raises ValueError below its family's minimum n.
 _FAMILIES = {
-    "pencil": (make_pencil, 2),
-    "wajnryb": (realize_wajnryb, 3),
-    "daisy": (make_daisy, 3),
-    "doubled-daisy": (make_doubled_daisy, 5),
+    "pencil": make_pencil,
+    "wajnryb": realize_wajnryb,
+    "daisy": make_daisy,
+    "doubled-daisy": make_doubled_daisy,
 }
 
 
 def cmd_make(args: argparse.Namespace) -> int:
-    maker, minimum = _FAMILIES[args.kind]
-    if args.n < minimum:
-        _info(f"family {args.kind!r} needs n >= {minimum}, got {args.n}")
-        return EXIT_INVALID_INPUT
-    arr = maker(args.n)
+    arr = _FAMILIES[args.kind](args.n)
     if args.output:
         save_arrangement(arr, args.output)
     else:
@@ -183,12 +182,9 @@ def cmd_make(args: argparse.Namespace) -> int:
 
 
 def cmd_relation(args: argparse.Namespace) -> int:
-    try:
-        arr, _ = _load(args.path, args.shear)
-        relation = verified_relation(arr)
-        text = export_relation(relation, args.format)
-    except (*LIBRARY_BUGS, ValueError, OSError) as err:
-        return _failure_code(args.path, err)
+    arr, _ = _load(args.path, args.shear)
+    relation = verified_relation(arr)
+    text = export_relation(relation, args.format)
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -197,12 +193,8 @@ def cmd_relation(args: argparse.Namespace) -> int:
 
 
 def cmd_plot(args: argparse.Namespace) -> int:
-    try:
-        arr, _ = _load(args.path, args.shear)
-        svg = render_arrangement_svg(arr)
-    except (*LIBRARY_BUGS, ValueError, OSError) as err:
-        return _failure_code(args.path, err)
-    Path(args.output).write_text(svg)
+    arr, _ = _load(args.path, args.shear)
+    Path(args.output).write_text(render_arrangement_svg(arr))
     return EXIT_OK
 
 
@@ -298,6 +290,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return EXIT_OK
+    except (*LIBRARY_BUGS, ValueError, OSError) as err:
+        return _failure_code(getattr(args, "path", args.command), err)
 
 
 if __name__ == "__main__":

@@ -41,7 +41,10 @@ def parse_rational(token: str, line: int | None = None) -> Fraction:
         raise ArrangementFileError(
             f"bad rational {token!r}: expected an integer or 'p/q'", line
         )
-    return Fraction(token)
+    try:
+        return Fraction(token)
+    except ValueError as err:  # past the interpreter's int-string digit limit
+        raise ArrangementFileError(f"bad rational: {err}", line) from err
 
 
 def parse_arrangement_text(text: str) -> Arrangement:
@@ -70,6 +73,8 @@ def parse_arrangement_json(text: str) -> Arrangement:
         raise ArrangementFileError(
             f"invalid JSON: {err.msg}", err.lineno, err.colno
         ) from err
+    except RecursionError as err:
+        raise ArrangementFileError("invalid JSON: nested too deeply to parse") from err
     if not isinstance(data, dict) or "lines" not in data:
         raise ArrangementFileError('arrangement JSON must be an object with a "lines" key')
     if not isinstance(data["lines"], list) or not data["lines"]:
@@ -80,18 +85,21 @@ def parse_arrangement_json(text: str) -> Arrangement:
             raise ArrangementFileError(
                 f'lines[{index}] must be an object with "slope" and "intercept"'
             )
+        entry = []
         for key in ("slope", "intercept"):
             if not isinstance(item[key], str):
                 raise ArrangementFileError(
                     f"lines[{index}].{key} must be a string rational "
                     "(JSON numbers are floats; exactness is required)"
                 )
+            try:
+                entry.append(parse_rational(item[key]))
+            except ArrangementFileError as err:
+                raise ArrangementFileError(f"lines[{index}].{key}: {err}") from err
         name = item.get("name")
         if name is not None and not isinstance(name, str):
             raise ArrangementFileError(f"lines[{index}].name must be a string")
-        entries.append(
-            (parse_rational(item["slope"]), parse_rational(item["intercept"]), name)
-        )
+        entries.append((*entry, name))
     return validate_arrangement(entries)
 
 

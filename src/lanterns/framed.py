@@ -81,15 +81,15 @@ class TwistDescriptor:
 
     The curve is the block-enclosing circle on positions a..b pulled back
     through `conjugator`; `enclosed` is the set of line ids the curve
-    separates from the rest.  Consistency (the conjugator's permutation
-    carries the enclosed ids onto positions a..b) is enforced here, keeping
-    the algebra and the curve's advertised line set in lockstep.
+    separates from the rest, and `label` is read off it.  Consistency (the
+    conjugator's permutation carries the enclosed ids onto positions a..b)
+    is enforced here, keeping the algebra and the curve's advertised line
+    set in lockstep.
     """
 
     conjugator: BraidWord
     block: tuple[int, int]
     enclosed: frozenset[int]
-    label: str = ""
 
     def __post_init__(self):
         n = self.conjugator.n
@@ -112,8 +112,10 @@ class TwistDescriptor:
                 f"{sorted(perm[line_id - 1] for line_id in enclosed)}, not onto "
                 f"[{a}, {b}]"
             )
-        if not self.label:
-            object.__setattr__(self, "label", twist_label(enclosed))
+
+    @property
+    def label(self) -> str:
+        return twist_label(self.enclosed)
 
 
 @dataclass(frozen=True)

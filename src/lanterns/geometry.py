@@ -310,40 +310,31 @@ def _shear_lines(arr: Arrangement, t: Fraction) -> Arrangement | None:
     return Arrangement(tuple(transformed), arr.source_order)
 
 
-def _partition(groups: dict[tuple[Fraction, Fraction], set[int]]) -> set[frozenset[int]]:
-    return {frozenset(members) for members in groups.values()}
-
-
 def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     """Shear (x, y) -> (x - t*y, y) until intersection x's are distinct.
 
     Tries t = 0 first, then 1/2, 1/4, 1/8, ...; the first admissible t that
     also preserves the concurrency combinatorics wins.  Only finitely many
     t can collide a pair of x's, flip the slope order, or create a vertical
-    line, so the halving search terminates.
+    line, so the halving search terminates.  Each arrangement examined is
+    grouped once: its groups are generic when no two share an x, and their
+    line sets are its concurrency partition.
     """
-
-    def is_generic(candidate: Arrangement) -> bool:
-        if candidate.n < 2:
-            return True
-        try:
-            intersections(candidate)
-        except NonGenericX:
-            return False
-        return True
-
-    if is_generic(arr):
+    groups = _group_points(arr)
+    if len({x for x, _ in groups}) == len(groups):
         return arr, Fraction(0)
 
-    partition = _partition(_group_points(arr))
+    partition = {frozenset(members) for members in groups.values()}
     t = Fraction(1, 2)
     for _ in range(256):
         candidate = _shear_lines(arr, t)
-        if candidate is not None and is_generic(candidate):
-            if _partition(_group_points(candidate)) != partition:
-                raise InvariantViolation(
-                    f"shear by t={t} changed the concurrency combinatorics"
-                )
-            return candidate, t
+        if candidate is not None:
+            groups = _group_points(candidate)
+            if len({x for x, _ in groups}) == len(groups):
+                if {frozenset(members) for members in groups.values()} != partition:
+                    raise InvariantViolation(
+                        f"shear by t={t} changed the concurrency combinatorics"
+                    )
+                return candidate, t
         t /= 2
     raise InvariantViolation("no admissible shear found; this cannot happen")

@@ -41,10 +41,10 @@ with the full twist on the left side, is still decided by the Artin
 oracle in `verify_relation` (which lives in `relation`, so a parsed report
 can be re-checked there, and is re-exported here).
 
-`total_monodromy` is the same product with each loop's inner twists
-divided out.  Inner twists carry the empty braid, so they leave the word
-of `twist_product` unchanged and only subtract, from each line's framing,
-the number of points on it.
+`total_monodromy` is the relation's right side with each loop's inner
+twists divided out.  Inner twists carry the empty braid, so they leave the
+right side's word unchanged and only subtract, from each line's framing,
+the number of points on it: mu_L, the line's left exponent plus one.
 
 `lantern_relation` only reads the factor lists off the combinatorics (the
 exponents mu_L - 1 and the descriptors in temporal order); `Relation`
@@ -53,7 +53,6 @@ derives both words from them when `verify_relation` first needs them.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,8 +63,6 @@ from .framed import (
     compose_all,
     conjugated_twist,
     inner_boundary_twist,
-    twist_label,
-    twist_product,
 )
 from .geometry import (
     Arrangement,
@@ -121,9 +118,7 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
         before = profiles[point.rank - 1].order
         positions = sorted(before.index(line_id) + 1 for line_id in point.lines)
         lo, hi = positions[0], positions[-1]
-        descriptor = TwistDescriptor(
-            beta, (lo, hi), frozenset(point.lines), twist_label(point.lines)
-        )
+        descriptor = TwistDescriptor(beta, (lo, hi), frozenset(point.lines))
         twists.append(PointTwist(point, descriptor))
         beta = beta * half_twist_block(arr.n, lo, hi)
     return MonodromyData(arr, tuple(twists))
@@ -160,14 +155,13 @@ def total_monodromy(arr: Arrangement) -> FramedElement:
     the incident lines)^{-1} * alpha_k; the loops compose in temporal
     order, leftmost point first.  Inner twists carry the empty braid, so
     they commute with every factor and only subtract framing: the product
-    is `twist_product` of the descriptors (one freely reduced word) times
-    each line's inner twist to minus its number of points.  For every
-    valid generic arrangement this equals the full twist with zero
-    framing, which is deformation invariance made computational: sliding
-    all lines into a pencil cannot change what happens at infinity.
+    is the relation's right side (one freely reduced word) times each
+    line's inner twist to -mu_L, where mu_L - 1 is the line's left
+    exponent.  For every valid generic arrangement this equals the full
+    twist with zero framing, which is deformation invariance made
+    computational: sliding all lines into a pencil cannot change what
+    happens at infinity.
     """
-    data = braid_monodromy(arr)
-    loops = twist_product((t.descriptor for t in reversed(data.twists)), arr.n)
-    incidences = Counter(line_id for t in data.twists for line_id in t.point.lines)
-    inner = (inner_boundary_twist(arr.n, line_id) ** -k for line_id, k in incidences.items())
-    return compose_all((loops, *inner), n=arr.n)
+    relation = lantern_relation(arr)
+    inner = (inner_boundary_twist(arr.n, b) ** -(e + 1) for b, e in relation.lhs if b)
+    return compose_all((relation.rhs_element, *inner), n=arr.n)

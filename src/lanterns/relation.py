@@ -12,6 +12,8 @@ right.  Left-side factors commute, so their order is cosmetic.
 
 The factor lists are the whole relation: both sides' words are derived
 from them, never stored, so no stored word can disagree with the factors.
+Labels are derived too, from each twist's enclosed lines; a document whose
+stored label disagrees is refused.
 
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
 (schema `lantern-relation/2`, lossless; `parse_relation` inverts it
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Any
+from typing import Any, Callable
 
 from .braids import BraidWord, FreeWord, artin_image
 from .framed import (
@@ -131,18 +133,19 @@ def verify_relation(relation: Relation) -> VerificationReport:
     return VerificationReport(braid_ok, framing_ok, witness)
 
 
-def _lhs_text(relation: Relation) -> list[str]:
+def _lhs_text(relation: Relation, name: Callable[[int], str], power: str) -> str:
+    """The left side's nonzero powers, each `name(boundary id)` then `power` of its exponent."""
     parts = []
     for boundary_id, exponent in relation.lhs:
         if exponent == 0:
             continue
-        name = boundary_label(boundary_id)
-        parts.append(name if exponent == 1 else f"{name}^{exponent}")
-    return parts
+        term = name(boundary_id)
+        parts.append(term if exponent == 1 else term + power.format(exponent))
+    return " ".join(parts) or "1"
 
 
 def format_text(relation: Relation) -> str:
-    lhs = " ".join(_lhs_text(relation)) or "1"
+    lhs = _lhs_text(relation, boundary_label, "^{}")
     rhs = " ".join(d.label for d in relation.rhs) or "1"
     return f"{lhs} = {rhs}"
 
@@ -155,15 +158,8 @@ def _latex_alpha(descriptor: TwistDescriptor) -> str:
 
 
 def format_latex(relation: Relation) -> str:
-    lhs_parts = []
-    for boundary_id, exponent in relation.lhs:
-        if exponent == 0:
-            continue
-        term = rf"\partial_{{{boundary_id}}}"
-        lhs_parts.append(term if exponent == 1 else term + rf"^{{{exponent}}}")
-    rhs_parts = [_latex_alpha(d) for d in relation.rhs]
-    lhs = " ".join(lhs_parts) or "1"
-    rhs = " ".join(rhs_parts) or "1"
+    lhs = _lhs_text(relation, lambda boundary_id: rf"\partial_{{{boundary_id}}}", "^{{{}}}")
+    rhs = " ".join(_latex_alpha(d) for d in relation.rhs) or "1"
     return f"{lhs} = {rhs}"
 
 
@@ -289,20 +285,21 @@ def _relation_fields(data: dict[str, Any]) -> tuple[Relation, VerificationReport
     """The relation a document describes, without a report, and its stored report."""
     n = _int(data["n"], "n")
     entries = data["rhs"]
-    rhs = tuple(
-        TwistDescriptor(
-            conjugator,
-            _pair(entry["block"], "block"),
-            frozenset(_ints(entry["enclosed"], "enclosed")),
-            entry["label"],
-        )
-        for entry, conjugator in zip(entries, _conjugators(entries, n))
-    )
+    rhs = []
+    for index, (entry, conjugator) in enumerate(zip(entries, _conjugators(entries, n))):
+        enclosed = frozenset(_ints(entry["enclosed"], "enclosed"))
+        descriptor = TwistDescriptor(conjugator, _pair(entry["block"], "block"), enclosed)
+        if entry["label"] != descriptor.label:
+            raise ValueError(
+                f"rhs[{index}] is labeled {entry['label']!r}, but its enclosed lines "
+                f"{sorted(enclosed)} make it {descriptor.label!r}"
+            )
+        rhs.append(descriptor)
     relation = Relation(
         name=data["name"],
         n=n,
         lhs=tuple(_pair(pair, "lhs pair") for pair in data["lhs"]),
-        rhs=rhs,
+        rhs=tuple(rhs),
     )
     rep = data.get("report")
     if rep is None:
@@ -344,5 +341,9 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
 
 
 def parse_relation(text: str) -> Relation:
-    """Inverse of the json export; round-trips losslessly."""
-    return relation_from_dict(json.loads(text))
+    """Inverse of the json export; round-trips losslessly.  Raises `ValueError` on bad text."""
+    try:
+        data = json.loads(text)
+    except RecursionError as exc:
+        raise ValueError("relation document is nested too deeply to parse") from exc
+    return relation_from_dict(data)

@@ -179,12 +179,21 @@ def _reference_artin_image(word):
 
 
 def test_artin_image_matches_left_to_right_reference():
+    # The reference costs grow with the image lengths, which grow fast with
+    # the word length; 40 letters still reach images past 1,000 letters.
     rng = random.Random(15)
+    cases = set()
+    long_images = 0
     for _ in range(2000):
         n = rng.randint(1, 8)
-        length = 0 if n == 1 else rng.randint(0, 60)
+        length = 0 if n == 1 else rng.randint(0, 40)
         word = random_braid(rng, n, length)
-        assert L.artin_image(word) == _reference_artin_image(word)
+        images = L.artin_image(word)
+        assert images == _reference_artin_image(word)
+        cases.update((n, letter) for letter in word.letters)
+        long_images += max(map(len, images)) > 1000
+    assert cases == {(n, s * i) for n in range(2, 9) for i in range(1, n) for s in (1, -1)}
+    assert long_images >= 50
 
 
 def test_full_twist_image_is_conjugation_by_the_boundary_word():

@@ -173,3 +173,31 @@ def test_library_invariant_is_not_invalid_input(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["exit_code"] == 1
     assert main(["relation", path]) == 1
     assert "library bug" in capsys.readouterr().err
+
+
+def test_verify_deeply_nested_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    depth = 100_000
+    path.write_text('{"lines": ' + "[" * depth + "]" * depth + "}")
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "nested" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["make", "daisy", "5", "-o"],
+        ["relation", "{input}", "-o"],
+        ["plot", "{input}", "-o"],
+    ],
+    ids=["make", "relation", "plot"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, argv):
+    source = _write(tmp_path, "lantern.json", WORKED_LINES)
+    target = tmp_path / "missing" / "out"
+    argv = [source if a == "{input}" else a for a in argv] + [str(target)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(target) in err
+    assert not target.parent.exists()

@@ -176,3 +176,29 @@ def test_doubled_daisy_range():
 def test_pencil_range():
     with pytest.raises(ValueError):
         L.make_pencil(1)
+
+
+def test_doubled_daisy_display_is_the_relation_verification(monkeypatch):
+    calls = []
+    reference = L.artin_image
+
+    def counting(word):
+        calls.append(word)
+        return reference(word)
+
+    monkeypatch.setattr("lanterns.braids.artin_image", counting)
+    monkeypatch.setattr("lanterns.relation.artin_image", counting)
+    for n in (5, 6, 8):
+        calls.clear()
+        check = L.check_doubled_daisy(n)
+        assert len(calls) == 2  # one Artin evaluation per side, none for the display
+        assert check.display_ok and check.ok, check.problems
+
+        # Absorb one middle boundary twist per line and recheck the identity.
+        absorbed = L.compose_all(
+            (L.inner_boundary_twist(n, k) for k in range(2, n)), n=n
+        ).inverse()
+        lhs = L.compose(check.relation.lhs_element, absorbed)
+        rhs = L.compose(check.relation.rhs_element, absorbed)
+        assert lhs.framing == (n - 1,) + (2,) * (n - 2) + (n - 1,)
+        assert L.elements_equal(lhs, rhs)

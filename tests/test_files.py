@@ -1,5 +1,7 @@
 """Arrangement file parsing and writing."""
 
+import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -78,3 +80,27 @@ def test_empty_inputs_rejected():
         L.parse_arrangement("# nothing here\n")
     with pytest.raises(ArrangementFileError):
         L.parse_arrangement('{"lines": []}')
+
+
+def _past_digit_limit():
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int-string digit limit")
+    return "7" * (limit + 1)
+
+
+def test_digit_limit_text_carries_line():
+    with pytest.raises(ArrangementFileError) as err:
+        L.parse_arrangement(f"2 0\n1 {_past_digit_limit()}\n-1 4\n")
+    assert err.value.line == 2
+    assert "(line 2)" in str(err.value)
+
+
+def test_digit_limit_json_carries_field():
+    big = _past_digit_limit()
+    document = {"lines": [{"slope": "2", "intercept": "0"}, {"slope": big, "intercept": "1"}]}
+    with pytest.raises(ArrangementFileError, match=r"lines\[1\]\.slope"):
+        L.parse_arrangement(json.dumps(document))
+    document["lines"][1] = {"slope": "1", "intercept": big}
+    with pytest.raises(ArrangementFileError, match=r"lines\[1\]\.intercept"):
+        L.parse_arrangement(json.dumps(document))

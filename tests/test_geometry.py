@@ -130,6 +130,25 @@ def test_shear_repairs_non_generic():
     assert [line.id for line in sheared.lines] == [line.id for line in arr.lines]
 
 
+def test_shear_groups_each_candidate_once(monkeypatch):
+    calls = []
+    reference = L.geometry._group_points
+
+    def counting(arr):
+        calls.append(arr)
+        return reference(arr)
+
+    monkeypatch.setattr("lanterns.geometry._group_points", counting)
+    arr = L.validate_arrangement(NON_GENERIC_LINES)
+    sheared, t = L.shear_to_generic(arr)
+    # t = 1/2 turns line 1 vertical, so only the input and t = 1/4 are grouped.
+    assert len(calls) == 2
+    assert t == Fraction(1, 4)
+    assert sheared == L.validate_arrangement(
+        [(4, -4), (Fraction(4, 3), 0), (Fraction(-4, 5), 0), (Fraction(-4, 3), Fraction(4, 3))]
+    )
+
+
 def test_pair_count_conservation_random():
     rng = random.Random(7)
     for _ in range(40):

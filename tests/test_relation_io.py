@@ -95,6 +95,29 @@ def test_malformed_relation_json_raises_value_error(document):
         L.parse_relation(json.dumps(document))
 
 
+def test_label_must_match_enclosed(worked):
+    data = json.loads(L.export_relation(L.lantern_relation(worked), "json"))
+    assert [entry["label"] for entry in data["rhs"]] == ["a12", "a13", "a23"]
+    relabeled = json.loads(json.dumps(data))
+    relabeled["rhs"][0]["label"] = "a13"
+    with pytest.raises(ValueError, match="label"):
+        L.parse_relation(json.dumps(relabeled))
+    # Swapped factors under unswapped labels: the labels would print the
+    # classical lantern while the factors say otherwise.
+    swapped = json.loads(json.dumps(data))
+    first, second = swapped["rhs"][0], swapped["rhs"][1]
+    for key in ("conjugator", "block", "enclosed"):
+        first[key], second[key] = second[key], first[key]
+    with pytest.raises(ValueError, match="label"):
+        L.parse_relation(json.dumps(swapped))
+
+
+def test_deeply_nested_relation_document_raises_value_error():
+    depth = 100_000
+    with pytest.raises(ValueError, match="nested"):
+        L.parse_relation("[" * depth + "]" * depth)
+
+
 def _v1_dict(relation, rhs_letters):
     """`relation` as a lantern-relation/1 document, right side spelled `rhs_letters`."""
     data = L.relation_to_dict(relation)
