@@ -20,7 +20,9 @@ the free group.
 Every word carries its strand permutation, computed once: a product u * v
 composes the permutations of u and v in O(n), an inverse inverts its
 word's, and the block twists know theirs in closed form, so only a word
-spelled letter by letter pays a pass over its letters.  Letters are
+spelled letter by letter pays a pass over its letters.  A product is a
+link of a prefix chain (u, then v's letters as its tail), so a word that
+extends another shares its letters instead of copying them.  Letters are
 validated where they enter a word, with builtins (`min`, `max`, `in` and
 the set of their types) rather than a per-letter loop; products and
 inverses of checked words, and block twists, are valid by construction and
@@ -34,10 +36,10 @@ it), not by prose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 from operator import neg
 from typing import Iterable
+from weakref import ref
 
 # A freely reduced word in the free group: signed generator labels, +j for
 # x_j and -j for its inverse.
@@ -52,53 +54,94 @@ class StrandCountMismatch(ValueError):
     """Two braid words on different strand counts were combined."""
 
 
-@dataclass(frozen=True)
 class BraidWord:
-    """A word in the braid group B_n, read temporally left to right."""
+    """A word in the braid group B_n, read temporally left to right.
 
-    n: int
-    letters: tuple[int, ...] = ()
+    A word is spelled (`BraidWord(n, letters)`, its letters in one tuple)
+    or a link of a prefix chain: a product u * v is the link "u, then the
+    tail v", holding u itself rather than a copy of its letters.  A chain
+    of conjugators beta_{k+1} = beta_k * D_k thus costs the letters of its
+    tails, not of every prefix.  `letters` spells a link once, on first
+    access, walking the chain back to the nearest spelled word; equality,
+    hashing and `len` read tails and never spell, and no operation recurses
+    along a chain.  Words are immutable.
+    """
 
-    def __post_init__(self):
-        n, letters = self.n, self.letters
+    __slots__ = ("n", "_parent", "_tail", "_length", "_perm", "_letters", "_twin", "__weakref__")
+
+    def __init__(self, n: int, letters: Iterable[int] = ()):
+        letters = tuple(letters)
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
-        if not letters:
-            return
-        types = set(map(type, letters))
-        if (
-            bool in types
-            or not all(issubclass(t, int) for t in types)
-            or 0 in letters
-            or min(letters) <= -n
-            or max(letters) >= n
-        ):
-            bad = next(
-                x
-                for x in letters
-                if type(x) is bool or not isinstance(x, int) or not 0 < abs(x) < n
-            )
-            raise ValueError(
-                f"letter {bad!r} is not a generator index in 1..{n - 1} or its negative"
-            )
+        if letters:
+            types = set(map(type, letters))
+            if (
+                bool in types
+                or not all(issubclass(t, int) for t in types)
+                or 0 in letters
+                or min(letters) <= -n
+                or max(letters) >= n
+            ):
+                bad = next(
+                    x
+                    for x in letters
+                    if type(x) is bool or not isinstance(x, int) or not 0 < abs(x) < n
+                )
+                raise ValueError(
+                    f"letter {bad!r} is not a generator index in 1..{n - 1} or its negative"
+                )
+        _init(self, n, None, letters, None)
 
-    @cached_property
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"BraidWord is immutable: cannot set {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a spelled word: the slots refuse setattr
+        return BraidWord, (self.n, self.letters)
+
+    def __repr__(self) -> str:
+        return f"BraidWord(n={self.n!r}, letters={self.letters!r})"
+
+    @property
+    def letters(self) -> tuple[int, ...]:
+        """The word's letters; a chain link is spelled once, on first access."""
+        letters = self._letters
+        if letters is None:
+            tails = []
+            word = self
+            while word._letters is None:
+                tails.append(word._tail)
+                word = word._parent
+            tails.append(word._letters)
+            letters = tuple(chain.from_iterable(reversed(tails)))
+            _set(self, "_letters", letters)
+        return letters
+
+    @property
     def _permutation(self) -> Permutation:
-        at = list(range(1, self.n + 1))
-        for letter in self.letters:
-            i = abs(letter)
-            at[i - 1], at[i] = at[i], at[i - 1]
-        result = [0] * self.n
-        for position, strand in enumerate(at, start=1):
-            result[strand - 1] = position
-        return tuple(result)
+        perm = self._perm
+        if perm is None:
+            at = list(range(1, self.n + 1))
+            for letter in self.letters:
+                i = abs(letter)
+                at[i - 1], at[i] = at[i], at[i - 1]
+            result = [0] * self.n
+            for position, strand in enumerate(at, start=1):
+                result[strand - 1] = position
+            perm = tuple(result)
+            _set(self, "_perm", perm)
+        return perm
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
             raise StrandCountMismatch(f"{self.n} strands vs {other.n} strands")
+        if not other._length:
+            return self
+        if not self._length:
+            return other
         then = (0,) + other._permutation  # 1-based lookup
         perm = tuple(map(then.__getitem__, self._permutation))
-        return _known(self.n, self.letters + other.letters, perm)
+        return _init(object.__new__(BraidWord), self.n, self, other.letters, perm)
 
     def inverse(self) -> BraidWord:
         perm = [0] * self.n
@@ -111,18 +154,110 @@ class BraidWord:
         return BraidWord(self.n, base.letters * abs(exponent))
 
     def __len__(self) -> int:
-        return len(self.letters)
+        return self._length
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BraidWord):
+            return NotImplemented
+        return self.n == other.n and self._length == other._length and _same_letters(self, other)
+
+    def __hash__(self) -> int:
+        # A link's tail is never empty, so the last letter is read without a walk.
+        return hash((self.n, self._length, self._tail[-1] if self._length else 0))
+
+
+_set = object.__setattr__
+
+
+def _init(
+    word: BraidWord,
+    n: int,
+    parent: BraidWord | None,
+    tail: tuple[int, ...],
+    perm: Permutation | None,
+) -> BraidWord:
+    """Fill the slots of `word`: `tail` after `parent`, or spelled when there is no parent."""
+    _set(word, "n", n)
+    _set(word, "_parent", parent)
+    _set(word, "_tail", tail)
+    _set(word, "_length", len(tail) if parent is None else parent._length + len(tail))
+    _set(word, "_perm", perm)
+    _set(word, "_letters", tail if parent is None else None)
+    _set(word, "_twin", None)
+    return word
 
 
 def _known(n: int, letters: tuple[int, ...], perm: Permutation) -> BraidWord:
     """A word whose letters are valid by construction and whose permutation is known.
 
-    Products and inverses of checked words, and the twists of a checked
-    block, qualify: their letters are not checked a second time.
+    Inverses of checked words and the twists of a checked block qualify:
+    their letters are not checked a second time.
     """
-    word = object.__new__(BraidWord)
-    word.__dict__.update(n=n, letters=letters, _permutation=perm)
-    return word
+    return _init(object.__new__(BraidWord), n, None, letters, perm)
+
+
+def _same_letters(u: BraidWord, v: BraidWord) -> bool:
+    """Whether two words of equal length spell the same letters.
+
+    Both are read from the end, one tail slice at a time, so no prefix is
+    spelled; the walk stops where both reach the same word (a shared chain
+    ancestor) or a pair already found equal.  Pairs of links met together
+    on a walk that finds equality remember each other (weakly), so
+    comparing every link of two separately built chains costs one walk,
+    not one per link.
+    """
+    met = []
+    a, i = u, len(u._tail)
+    b, j = v, len(v._tail)
+    while True:
+        while not i and a._parent is not None:
+            a = a._parent
+            i = len(a._tail)
+        while not j and b._parent is not None:
+            b = b._parent
+            j = len(b._tail)
+        if i == len(a._tail) and j == len(b._tail):
+            if a is b or (a._twin is not None and a._twin() is b):
+                break
+            met.append((a, b))
+        if not i:  # both words are used up: their lengths are equal
+            break
+        k = min(i, j)
+        if a._tail[i - k : i] != b._tail[j - k : j]:
+            return False
+        i -= k
+        j -= k
+    for a, b in met:
+        _set(a, "_twin", ref(b))
+        _set(b, "_twin", ref(a))
+    return True
+
+
+def divergent_tails(
+    u: BraidWord, v: BraidWord
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The tails by which u and v extend their nearest shared chain link.
+
+    Returns u's tails and v's tails, each listed from the word's end back:
+    u is that shared link followed by the reversed list's tails, and so is
+    v.  Words on unrelated chains share only the empty prefix, and their
+    lists then spell them in full.  The walk steps along the longer word
+    first, so it costs the links beyond the shared one.
+    """
+    ours: list[tuple[int, ...]] = []
+    theirs: list[tuple[int, ...]] = []
+    while u is not v:
+        if u._parent is None and v._parent is None:
+            ours.append(u._tail)
+            theirs.append(v._tail)
+            break
+        if v._parent is None or (u._parent is not None and u._length >= v._length):
+            ours.append(u._tail)
+            u = u._parent
+        else:
+            theirs.append(v._tail)
+            v = v._parent
+    return ours, theirs
 
 
 def generator(n: int, i: int) -> BraidWord:

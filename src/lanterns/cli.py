@@ -3,7 +3,8 @@
 Exit codes, everywhere: 0 success, 1 relation failed to verify or a
 library invariant broke (for valid input either means a library bug, not a
 property of the input), 2 invalid input (parse errors, parallel lines,
-out-of-range n, unknown format, a file that cannot be read or written),
+out-of-range n, unknown format, a file that cannot be read or written,
+coordinates too large to plot),
 3 intersection points sharing an x-coordinate when --shear was not given.
 Every command fails through the one handler in `main`; `verify` also uses
 it per file, so a batch goes on past a bad file.
@@ -232,8 +233,9 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     for _ in range(20):
         n = rng.randint(2, 6)
         arr, _ = shear_to_generic(random_arrangement(rng, n, allow_concurrent=False))
-        ok = ok and verified_relation(arr).report.verified
-        total = total_monodromy(arr)
+        relation = verified_relation(arr)
+        ok = ok and relation.report.verified
+        total = total_monodromy(arr, relation)
         full_twist_unframed = FramedElement(outer_boundary_twist(n).braid, (0,) * n)
         ok = ok and elements_equal(total, full_twist_unframed)
     suite("random arrangements verify and have full-twist total monodromy", ok)

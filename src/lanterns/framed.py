@@ -16,9 +16,11 @@ Products are freely reduced as they are built: `compose_all` cancels every
 adjacent sigma_i sigma_i^{-1} pair across factor boundaries, which is a
 group identity, so a telescoping product is stored in its cancelled form.
 `twist_product` builds the product of many conjugated twists without
-spelling out their conjugators: where consecutive conjugators share a
-prefix, only the tails beyond it are emitted.  Reduction only shortens
-words; equality is still decided by the Artin oracle alone.
+spelling out their conjugators: a conjugator is a prefix chain (the
+conjugator it extends plus a tail, see `braids.BraidWord`), and where
+consecutive conjugators share a chain link only the tails beyond it are
+emitted.  Reduction only shortens words; equality is still decided by the
+Artin oracle alone.
 
 Dehn twist constructors:
 
@@ -46,6 +48,7 @@ from .braids import (
     BraidWord,
     StrandCountMismatch,
     braids_equal,
+    divergent_tails,
     full_twist_block,
     inverse_letters,
     is_pure,
@@ -84,7 +87,10 @@ class TwistDescriptor:
     separates from the rest, and `label` is read off it.  Consistency (the
     conjugator's permutation carries the enclosed ids onto positions a..b)
     is enforced here, keeping the algebra and the curve's advertised line
-    set in lockstep.
+    set in lockstep.  The conjugator may be any word; the monodromy and the
+    relation parser build each one as a link extending another's, so
+    descriptors along one chain share their letters and the check reads
+    only the cached permutation.
     """
 
     conjugator: BraidWord
@@ -186,42 +192,36 @@ def compose_all(factors: Iterable[FramedElement], n: int | None = None) -> Frame
     return FramedElement(BraidWord(n, tuple(letters)), framing or (0,) * n)
 
 
-def _common_prefix(u: tuple[int, ...], v: tuple[int, ...]) -> int:
-    """Length of the longest common prefix; one slice comparison when one word extends the other."""
-    k = min(len(u), len(v))
-    if u[:k] == v[:k]:
-        return k
-    return next(i for i, (x, y) in enumerate(zip(u, v)) if x != y)
-
-
 def twist_product(descriptors: Iterable[TwistDescriptor], n: int) -> FramedElement:
     """Temporal product of the descriptors' conjugated twists, built as one word.
 
     The product c_1 F_1 c_1^{-1} c_2 F_2 c_2^{-1} ... (F_k the full twist
     of block k) is emitted with each junction c_k^{-1} c_{k+1} spelled as
-    the inverse of c_k's tail times c_{k+1}'s tail beyond their longest
-    common prefix: the prefix and its inverse cancel freely.  The stream is
-    freely reduced once, and the free reduction of a word is unique, so the
+    the inverse of c_k's tails times c_{k+1}'s tails beyond their nearest
+    shared chain link (`divergent_tails`): the shared prefix and its
+    inverse cancel freely, so they are never read.  The stream is freely
+    reduced once, and the free reduction of a word is unique, so the
     result is letter for letter `compose_all` of the `conjugated_twist`s,
-    without a pass over the conjugators' shared letters.  Each descriptor
-    checked its consistency when it was built; the product is checked for
-    purity here.
+    however the conjugators were built.  Each descriptor checked its
+    consistency when it was built; the product is checked for purity here.
     """
     letters: list[int] = []
     framing = [0] * n
-    previous: tuple[int, ...] = ()
+    previous = BraidWord(n)
     for descriptor in descriptors:
-        if descriptor.conjugator.n != n:
-            raise StrandCountMismatch(f"{n} strands vs {descriptor.conjugator.n} strands")
-        conjugator = descriptor.conjugator.letters
-        k = _common_prefix(previous, conjugator)
-        reduce_onto(letters, inverse_letters(previous[k:]))
-        reduce_onto(letters, conjugator[k:])
+        conjugator = descriptor.conjugator
+        if conjugator.n != n:
+            raise StrandCountMismatch(f"{n} strands vs {conjugator.n} strands")
+        back, forth = divergent_tails(previous, conjugator)
+        for tail in back:
+            reduce_onto(letters, inverse_letters(tail))
+        for tail in reversed(forth):
+            reduce_onto(letters, tail)
         reduce_onto(letters, full_twist_block(n, *descriptor.block).letters)
         for line_id in descriptor.enclosed:
             framing[line_id - 1] += 1
         previous = conjugator
-    reduce_onto(letters, inverse_letters(previous))
+    reduce_onto(letters, inverse_letters(previous.letters))
     return FramedElement(BraidWord(n, tuple(letters)), tuple(framing))
 
 

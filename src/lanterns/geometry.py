@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -184,14 +184,39 @@ def validate_arrangement(
     return Arrangement(lines, tuple(order))
 
 
-def _group_points(arr: Arrangement) -> dict[tuple[Fraction, Fraction], set[int]]:
-    """Group the pairwise intersections by exact coordinates."""
-    groups: dict[tuple[Fraction, Fraction], set[int]] = {}
-    for a, b in combinations(arr.lines, 2):
-        x = (b.intercept - a.intercept) / (a.slope - b.slope)
-        y = a.y_at(x)
-        groups.setdefault((x, y), set()).update((a.id, b.id))
-    return groups
+def _integer_coefficients(arr: Arrangement) -> tuple[int, list[tuple[int, int]]]:
+    """D, the common denominator of all coefficients, and each line's (D*slope, D*intercept)."""
+    scale = lcm(*(v.denominator for line in arr.lines for v in (line.slope, line.intercept)))
+    return scale, [
+        (
+            line.slope.numerator * (scale // line.slope.denominator),
+            line.intercept.numerator * (scale // line.intercept.denominator),
+        )
+        for line in arr.lines
+    ]
+
+
+def _group_points(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set[int]]]:
+    """Group the pairwise intersections by exact integer keys.
+
+    With D the common denominator and M, C the integer coefficients
+    D*slope, D*intercept, lines a and b meet at x = (C_b - C_a)/(M_a - M_b)
+    = p/q in lowest terms with q > 0, and D*q*y = M_a*p + C_a*q there.  The
+    key (p, q, M_a*p + C_a*q) therefore names the point exactly, with no
+    `Fraction` arithmetic per pair.  Returns D and the line ids on each key;
+    the point is (p/q, key[2]/(D*q)).
+    """
+    scale, coefficients = _integer_coefficients(arr)
+    groups: dict[tuple[int, int, int], set[int]] = {}
+    for (a, (ma, ca)), (b, (mb, cb)) in combinations(enumerate(coefficients, start=1), 2):
+        p, q = cb - ca, ma - mb
+        g = gcd(p, q) if q > 0 else -gcd(p, q)
+        p //= g
+        q //= g
+        members = groups.setdefault((p, q, ma * p + ca * q), set())
+        members.add(a)
+        members.add(b)
+    return scale, groups
 
 
 def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
@@ -201,17 +226,21 @@ def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
     """
     if arr.n < 2:
         raise ValueError("intersections need at least two lines")
-    groups = _group_points(arr)
-    ordered = sorted(groups.items(), key=lambda item: item[0][0], reverse=True)
-    for (first, members_a), (second, members_b) in zip(ordered, ordered[1:]):
+    scale, groups = _group_points(arr)
+    located = sorted(
+        (
+            (Fraction(p, q), Fraction(h, scale * q), tuple(sorted(members)))
+            for (p, q, h), members in groups.items()
+        ),
+        key=lambda point: point[0],
+        reverse=True,
+    )
+    for first, second in zip(located, located[1:]):
         if first[0] == second[0]:
-            raise NonGenericX(
-                (first[0], first[1], tuple(sorted(members_a))),
-                (second[0], second[1], tuple(sorted(members_b))),
-            )
+            raise NonGenericX(first, second)
     points = tuple(
-        IntersectionPoint(x, y, tuple(sorted(members)), rank)
-        for rank, ((x, y), members) in enumerate(ordered, start=1)
+        IntersectionPoint(x, y, members, rank)
+        for rank, (x, y, members) in enumerate(located, start=1)
     )
     pair_count = sum(len(p.lines) * (len(p.lines) - 1) // 2 for p in points)
     if pair_count != arr.n * (arr.n - 1) // 2:
@@ -242,8 +271,7 @@ def _check_orders(
     D the common denominator of all coefficients and x = p/q, the integer
     D*q*y = (D*slope)*p + (D*intercept)*q orders the heights exactly.
     """
-    scale = lcm(*(v.denominator for line in arr.lines for v in (line.slope, line.intercept)))
-    coefficients = [(int(line.slope * scale), int(line.intercept * scale)) for line in arr.lines]
+    _, coefficients = _integer_coefficients(arr)
     for j, (x, order) in enumerate(zip(samples, orders)):
         p, q = x.numerator, x.denominator
         heights = [m * p + c * q for m, c in (coefficients[i - 1] for i in order)]
@@ -320,8 +348,8 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     grouped once: its groups are generic when no two share an x, and their
     line sets are its concurrency partition.
     """
-    groups = _group_points(arr)
-    if len({x for x, _ in groups}) == len(groups):
+    _, groups = _group_points(arr)
+    if len({(p, q) for p, q, _ in groups}) == len(groups):
         return arr, Fraction(0)
 
     partition = {frozenset(members) for members in groups.values()}
@@ -329,8 +357,8 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     for _ in range(256):
         candidate = _shear_lines(arr, t)
         if candidate is not None:
-            groups = _group_points(candidate)
-            if len({x for x, _ in groups}) == len(groups):
+            _, groups = _group_points(candidate)
+            if len({(p, q) for p, q, _ in groups}) == len(groups):
                 if {frozenset(members) for members in groups.values()} != partition:
                     raise InvariantViolation(
                         f"shear by t={t} changed the concurrency combinatorics"

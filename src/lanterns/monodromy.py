@@ -42,7 +42,7 @@ oracle in `verify_relation` (which lives in `relation`, so a parsed report
 can be re-checked there, and is re-exported here).
 
 `total_monodromy` is the relation's right side with each loop's inner
-twists divided out.  Inner twists carry the empty braid, so they leave the
+twists divided out (from a relation the caller passes, or one it builds).  Inner twists carry the empty braid, so they leave the
 right side's word unchanged and only subtract, from each line's framing,
 the number of points on it: mu_L, the line's left exponent plus one.
 
@@ -56,7 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braids import BraidWord, half_twist_block
+from .braids import BraidWord, StrandCountMismatch, half_twist_block
 from .framed import (
     FramedElement,
     TwistDescriptor,
@@ -107,8 +107,10 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     contiguous in the fiber order; the descriptor consistency (the
     conjugator really carries the enclosed lines onto the block) is
     re-checked at construction for every point.  Each conjugator is the
-    previous one times one block half twist, so its permutation is
-    composed in O(n) and the check never re-reads the shared letters.
+    previous one times one block half twist, a link of one prefix chain
+    that holds the previous conjugator rather than its letters, so the
+    descriptors share O(n^2) letters in all, each permutation is composed
+    in O(n), and the check never re-reads the shared letters.
     """
     points = intersections(arr)
     profiles = order_profiles(arr, points)
@@ -148,7 +150,7 @@ def verified_relation(arr: Arrangement, name: str = "lantern") -> Relation:
     return relation.with_report(verify_relation(relation))
 
 
-def total_monodromy(arr: Arrangement) -> FramedElement:
+def total_monodromy(arr: Arrangement, relation: Relation | None = None) -> FramedElement:
     """Monodromy of the big circle around all intersection projections.
 
     The loop around the rank-k point acts as (product of inner twists of
@@ -161,7 +163,15 @@ def total_monodromy(arr: Arrangement) -> FramedElement:
     twist with zero framing, which is deformation invariance made
     computational: sliding all lines into a pencil cannot change what
     happens at infinity.
+
+    `relation` is the arrangement's `lantern_relation`, built here when
+    not given; a pipeline that already holds it (from `verified_relation`)
+    passes it, so one `braid_monodromy` serves both.  A relation on another
+    strand count raises `StrandCountMismatch`, a `ValueError`.
     """
-    relation = lantern_relation(arr)
+    if relation is None:
+        relation = lantern_relation(arr)
+    elif relation.n != arr.n:
+        raise StrandCountMismatch(f"relation on {relation.n} strands, arrangement of {arr.n} lines")
     inner = (inner_boundary_twist(arr.n, b) ** -(e + 1) for b, e in relation.lhs if b)
     return compose_all((relation.rhs_element, *inner), n=arr.n)

@@ -16,9 +16,20 @@ Labels are derived too, from each twist's enclosed lines; a document whose
 stored label disagrees is refused.
 
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
-(schema `lantern-relation/2`, lossless; `parse_relation` inverts it
-exactly, and still reads schema 1, checking its stored words; a stored
-report is recomputed and must agree).
+(schema `lantern-relation/3`, lossless; `parse_relation` inverts it
+exactly, and still reads schemas 1 and 2, checking a v1 document's stored
+words; a stored report is recomputed and must agree).
+
+Schema 3 stores conjugators by reference.  An rhs entry whose conjugator
+extends the next entry's carries `"extends": i + 1`, and its
+`"conjugator"` lists only the tail beyond that entry's conjugator; the
+writer does so exactly where the next conjugator is a non-empty prefix
+longer than the tail, a rule on the letters alone, so export, parse and
+export give the same bytes.  Along the monodromy's chain
+beta_{k+1} = beta_k * D_k a relation then stores O(n^2) letters, not
+O(n^4).  The parser accepts `"extends": j` for any later entry j, builds
+that entry's conjugator first and extends it, and refuses a reference to
+the entry itself, to an earlier one, or past the end.
 """
 
 from __future__ import annotations
@@ -26,9 +37,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import chain
 from typing import Any, Callable
 
-from .braids import BraidWord, FreeWord, artin_image
+from .braids import BraidWord, FreeWord, artin_image, divergent_tails
 from .framed import (
     FramedElement,
     TwistDescriptor,
@@ -40,7 +52,8 @@ from .framed import (
     twist_product,
 )
 
-JSON_SCHEMA = "lantern-relation/2"
+JSON_SCHEMA = "lantern-relation/3"
+JSON_SCHEMA_V2 = "lantern-relation/2"
 JSON_SCHEMA_V1 = "lantern-relation/1"
 
 
@@ -210,6 +223,37 @@ def _report_dict(report: VerificationReport) -> dict[str, Any]:
     }
 
 
+def _extension(word: BraidWord, prefix: BraidWord) -> tuple[int, ...] | None:
+    """The tail t with word = prefix * t, when `prefix` is non-empty and longer than t.
+
+    Decided on the letters: a word built as a link of `prefix` yields its
+    tails without spelling either word, any other pair is compared letter
+    by letter.
+    """
+    k = len(prefix)
+    if not 0 < k or 2 * k <= len(word):
+        return None
+    ours, theirs = divergent_tails(word, prefix)
+    if not theirs:
+        return tuple(chain.from_iterable(reversed(ours)))
+    letters = word.letters
+    return letters[k:] if letters[:k] == prefix.letters else None
+
+
+def _entry_dict(rhs: tuple[TwistDescriptor, ...], index: int) -> dict[str, Any]:
+    d = rhs[index]
+    entry: dict[str, Any] = {"label": d.label}
+    tail = None if index + 1 == len(rhs) else _extension(d.conjugator, rhs[index + 1].conjugator)
+    if tail is None:
+        entry["conjugator"] = list(d.conjugator.letters)
+    else:
+        entry["extends"] = index + 1
+        entry["conjugator"] = list(tail)
+    entry["block"] = [d.block[0], d.block[1]]
+    entry["enclosed"] = sorted(d.enclosed)
+    return entry
+
+
 def relation_to_dict(relation: Relation) -> dict[str, Any]:
     return {
         "schema": JSON_SCHEMA,
@@ -217,15 +261,7 @@ def relation_to_dict(relation: Relation) -> dict[str, Any]:
         "n": relation.n,
         "text": format_text(relation),
         "lhs": [[boundary_id, exponent] for boundary_id, exponent in relation.lhs],
-        "rhs": [
-            {
-                "label": d.label,
-                "conjugator": list(d.conjugator.letters),
-                "block": [d.block[0], d.block[1]],
-                "enclosed": sorted(d.enclosed),
-            }
-            for d in relation.rhs
-        ],
+        "rhs": [_entry_dict(relation.rhs, index) for index in range(len(relation.rhs))],
         "report": None if relation.report is None else _report_dict(relation.report),
     }
 
@@ -262,44 +298,54 @@ def _check_v1_sides(data: dict[str, Any], relation: Relation) -> None:
                 raise ValueError(f"stored {side} word is not the product of its factors")
 
 
-def _conjugators(entries: list[dict[str, Any]], n: int) -> list[BraidWord]:
-    """The stored conjugators, every letter validated.
+def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]:
+    """The rhs descriptors, read from the last entry back; every letter validated.
 
-    A conjugator that extends the next entry's (the telescoping case, where
-    every conjugator is a prefix of the one stored before it) is built as
-    that one times its tail, so its permutation costs the tail's letters.
+    One reader serves every schema.  An entry with `"extends": j` (j a
+    later entry) gets entry j's conjugator extended by its tail.  Any other
+    entry whose letters extend the next entry's conjugator (the telescoping
+    case, and every such v1 or v2 entry) is built as that conjugator times
+    the rest, so its permutation costs the tail's letters.  Each descriptor
+    is checked for consistency, and its label against its enclosed lines.
     """
-    conjugators: list[BraidWord] = []
-    following = BraidWord(n)
-    for entry in reversed(entries):
-        word = BraidWord(n, tuple(entry["conjugator"]))
-        k = len(following)
-        if word.letters[:k] == following.letters:
-            word = following * BraidWord(n, word.letters[k:])
-        conjugators.append(word)
-        following = word
-    return conjugators[::-1]
-
-
-def _relation_fields(data: dict[str, Any]) -> tuple[Relation, VerificationReport | None]:
-    """The relation a document describes, without a report, and its stored report."""
-    n = _int(data["n"], "n")
-    entries = data["rhs"]
-    rhs = []
-    for index, (entry, conjugator) in enumerate(zip(entries, _conjugators(entries, n))):
+    conjugators: list[BraidWord] = [BraidWord(n)] * len(entries)
+    descriptors: list[TwistDescriptor] = []
+    for index in reversed(range(len(entries))):
+        entry = entries[index]
+        word = BraidWord(n, entry["conjugator"])
+        if "extends" in entry:
+            j = _int(entry["extends"], f"rhs[{index}].extends")
+            if not index < j < len(entries):
+                raise ValueError(
+                    f"rhs[{index}] extends entry {j}, but may extend only a later entry "
+                    f"of the {len(entries)}"
+                )
+            word = conjugators[j] * word
+        elif index + 1 < len(entries):
+            following = conjugators[index + 1]
+            k = len(following)
+            if 0 < k <= len(word) and word.letters[:k] == following.letters:
+                word = following * BraidWord(n, word.letters[k:])
+        conjugators[index] = word
         enclosed = frozenset(_ints(entry["enclosed"], "enclosed"))
-        descriptor = TwistDescriptor(conjugator, _pair(entry["block"], "block"), enclosed)
+        descriptor = TwistDescriptor(word, _pair(entry["block"], "block"), enclosed)
         if entry["label"] != descriptor.label:
             raise ValueError(
                 f"rhs[{index}] is labeled {entry['label']!r}, but its enclosed lines "
                 f"{sorted(enclosed)} make it {descriptor.label!r}"
             )
-        rhs.append(descriptor)
+        descriptors.append(descriptor)
+    return descriptors[::-1]
+
+
+def _relation_fields(data: dict[str, Any]) -> tuple[Relation, VerificationReport | None]:
+    """The relation a document describes, without a report, and its stored report."""
+    n = _int(data["n"], "n")
     relation = Relation(
         name=data["name"],
         n=n,
         lhs=tuple(_pair(pair, "lhs pair") for pair in data["lhs"]),
-        rhs=tuple(rhs),
+        rhs=tuple(_descriptors(data["rhs"], n)),
     )
     rep = data.get("report")
     if rep is None:
@@ -325,7 +371,7 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
     if not isinstance(data, dict):
         raise ValueError(f"a relation document is a JSON object, not {type(data).__name__}")
     schema = data.get("schema")
-    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V1):
+    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V2, JSON_SCHEMA_V1):
         raise ValueError(f"unsupported relation schema {schema!r}")
     try:
         relation, report = _relation_fields(data)

@@ -27,6 +27,19 @@ def _fmt(value: float) -> str:
 
 
 def render_arrangement_svg(arr: Arrangement) -> str:
+    """The arrangement as an SVG document.
+
+    Drawing needs floats: exact coordinates beyond the float range raise
+    `ValueError` rather than `OverflowError`, since they are a property of
+    the input.
+    """
+    try:
+        return _render(arr)
+    except OverflowError as exc:
+        raise ValueError(f"coordinates too large to draw ({exc})") from exc
+
+
+def _render(arr: Arrangement) -> str:
     points = intersections(arr) if arr.n >= 2 else ()
 
     xs = [float(p.x) for p in points] or [0.0]

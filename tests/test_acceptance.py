@@ -5,8 +5,14 @@ is zero everywhere; the only numeric budgets are wall-clock ones.  Run with
 `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import json
+import os
 import random
+import resource
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +21,7 @@ from lanterns.braids import BraidWord, half_twist_block
 from lanterns.framed import FramedElement, TwistDescriptor, compose_all, conjugated_twist
 from conftest import WORKED_LINES, random_arrangement, random_braid
 
+ROOT = Path(__file__).resolve().parent.parent
 CORPUS_SEED = 2026
 CORPUS_SIZE = 200
 
@@ -254,3 +261,54 @@ def test_criterion_12_scale_n60():
     assert parsed == relation
     assert elapsed < 10.0
     print(f"criterion 12 PASS: n = 60 ({len(points)} points), with round trip, in {elapsed:.2f}s")
+
+
+CRITERION_13_CHILD = """
+import json, random, time
+import lanterns as L
+from lanterns.families import random_arrangement
+
+start = time.perf_counter()
+arr, _ = L.shear_to_generic(random_arrangement(random.Random(99), 120, allow_concurrent=False))
+relation = L.verified_relation(arr)
+total = L.total_monodromy(arr, relation=relation)
+text = L.export_relation(relation, "json")
+parsed = L.parse_relation(text)
+print(json.dumps({
+    "points": len(relation.rhs),
+    "verified": relation.report.verified,
+    # the verified relation proves its right side is the full twist; the
+    # total monodromy is that word with zero framing
+    "total_ok": total.framing == (0,) * 120 and total.braid == relation.rhs_element.braid,
+    "round_trip": parsed == relation,
+    "export_bytes": len(text.encode()),
+    "elapsed_s": time.perf_counter() - start,
+}))
+"""
+
+
+def test_criterion_13_scale_n120_in_bounded_memory():
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CRITERION_13_CHILD],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024  # kB on Linux
+    assert result["points"] == 6784  # C(120, 2) = 7140 pairs; seed 99 has accidental triple points
+    assert result["verified"] and result["total_ok"] and result["round_trip"]
+    assert result["export_bytes"] < 2_000_000
+    assert peak_mb < 60
+    assert elapsed < 10.0
+    print(
+        f"criterion 13 PASS: n = 120 (6784 points), shear, verify, total monodromy and "
+        f"round trip in {elapsed:.2f}s, export {result['export_bytes'] / 1e6:.2f} MB, "
+        f"peak RSS {peak_mb:.0f} MB"
+    )

@@ -48,7 +48,7 @@ def test_verify_json_stdout_is_pure(tmp_path, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out)  # the whole stdout is one document
     assert payload["verified"] is True
-    assert payload["relation"]["schema"] == "lantern-relation/2"
+    assert payload["relation"]["schema"] == "lantern-relation/3"
     assert payload["shear_t"] is not None
     assert "applied shear" in captured.err
 
@@ -126,6 +126,17 @@ def test_plot(tmp_path, capsys):
     out2 = tmp_path / "again.svg"
     assert main(["plot", path, "-o", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+    capsys.readouterr()
+
+
+def test_plot_huge_coordinates_exits_2(tmp_path, capsys):
+    # A 4000-digit intercept is exact input within the digit limit, but its
+    # intersection points lie beyond the float range the picture needs.
+    path = tmp_path / "huge.txt"
+    path.write_text("2 0\n1 " + "9" * 4000 + "\n-1 4\n")
+    assert main(["plot", str(path), "-o", str(tmp_path / "huge.svg")]) == 2
+    assert str(path) in capsys.readouterr().err
+    assert main(["verify", str(path)]) == 0
     capsys.readouterr()
 
 

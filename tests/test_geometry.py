@@ -4,6 +4,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -198,3 +199,52 @@ def test_determinism():
     assert first == second
     assert L.intersections(first) == L.intersections(second)
     assert L.order_profiles(first) == L.order_profiles(second)
+
+
+def _reference_groups(arr):
+    """The per-pair `Fraction` grouping the integer kernel replaced."""
+    groups = {}
+    for a, b in combinations(arr.lines, 2):
+        x = (b.intercept - a.intercept) / (a.slope - b.slope)
+        groups.setdefault((x, a.y_at(x)), set()).update((a.id, b.id))
+    return groups
+
+
+def test_integer_grouping_matches_the_fraction_reference():
+    rng = random.Random(12)
+    forced = huge = 0
+    for trial in range(80):
+        n = rng.randint(2, 9)
+        bound = 10**30 if trial % 2 else 12
+        slopes = set()
+        while len(slopes) < n:
+            slopes.add(Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
+        entries = [[m, Fraction(rng.randint(-bound, bound), rng.randint(1, bound))] for m in slopes]
+        for _ in range(rng.randint(0, n // 2) if n >= 3 else 0):
+            # route line k through the meeting point of lines i and j
+            i, j, k = rng.sample(range(n), 3)
+            (mi, ci), (mj, cj) = entries[i], entries[j]
+            x = (cj - ci) / (mi - mj)
+            entries[k][1] = mi * x + ci - entries[k][0] * x
+        arr = L.validate_arrangement([tuple(e) for e in entries])
+        reference = _reference_groups(arr)
+        scale, groups = L.geometry._group_points(arr)
+        for p, q, _ in groups:
+            assert q > 0 and gcd(p, q) == 1
+        located = {
+            (Fraction(p, q), Fraction(h, scale * q)): members
+            for (p, q, h), members in groups.items()
+        }
+        assert located == reference
+        forced += any(len(members) >= 3 for members in reference.values())
+        huge += max(abs(line.slope.numerator) for line in arr.lines) > 10**20
+        xs = [x for x, _ in reference]
+        if len(set(xs)) < len(xs):
+            with pytest.raises(L.NonGenericX):
+                L.intersections(arr)
+            continue
+        ordered = sorted(reference.items(), key=lambda item: item[0][0], reverse=True)
+        assert [(p.x, p.y, set(p.lines)) for p in L.intersections(arr)] == [
+            (x, y, members) for (x, y), members in ordered
+        ]
+    assert forced >= 20 and huge >= 30

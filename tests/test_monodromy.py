@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 import lanterns as L
 from lanterns.braids import BraidWord, half_twist_block
 from lanterns.framed import FramedElement, TwistDescriptor, compose_all, conjugated_twist
@@ -177,3 +179,22 @@ def test_rhs_word_is_the_telescoped_full_twist():
         assert relation.rhs_element.braid.letters == _telescoped(arr)
         assert len(relation.rhs_element.braid) == arr.n * (arr.n - 1)
         assert L.verify_relation(relation).verified
+
+
+def test_total_monodromy_reuses_a_given_relation(monkeypatch):
+    rng = random.Random(34)
+    arrangements = [
+        L.shear_to_generic(random_arrangement(rng, rng.randint(2, 7)))[0] for _ in range(20)
+    ]
+    arrangements += [L.make_pencil(4), L.make_daisy(5), L.make_doubled_daisy(6)]
+    pairs = [(arr, L.verified_relation(arr), L.total_monodromy(arr)) for arr in arrangements]
+
+    def no_second_monodromy(arr):
+        raise AssertionError("braid_monodromy ran again")
+
+    monkeypatch.setattr("lanterns.monodromy.braid_monodromy", no_second_monodromy)
+    for arr, relation, total in pairs:
+        assert L.total_monodromy(arr, relation) == total
+        assert L.total_monodromy(arr, relation=relation) == total
+    with pytest.raises(ValueError):
+        L.total_monodromy(L.make_pencil(3), pairs[-1][1])

@@ -1,10 +1,13 @@
 """Relation exporters: text, latex, lossless json round trip."""
 
 import json
+import random
 
 import pytest
 
 import lanterns as L
+from lanterns.braids import BraidWord
+from conftest import random_arrangement, random_braid
 
 
 def test_text_exports(worked):
@@ -50,7 +53,7 @@ def test_json_round_trip_failed_report(worked):
 
 def test_v2_export_stores_no_words(worked):
     data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
-    assert data["schema"] == "lantern-relation/2"
+    assert data["schema"] == "lantern-relation/3"
     assert "lhs_element" not in data and "rhs_element" not in data
     assert "lhs" not in data["report"] and "rhs" not in data["report"]
 
@@ -215,3 +218,170 @@ def test_json_export_is_compact_and_round_trips():
     text = L.export_relation(relation, "json")
     assert text.count("\n") == 1 and text.endswith("}\n")
     assert L.export_relation(L.parse_relation(text), "json") == text
+
+
+WORKED_V2_JSON = (
+    '{"schema": "lantern-relation/2", "name": "lantern", "n": 3, '
+    '"text": "d0 d1 d2 d3 = a12 a13 a23", "lhs": [[0, 1], [1, 1], [2, 1], [3, 1]], '
+    '"rhs": [{"label": "a12", "conjugator": [2, 1], "block": [2, 3], "enclosed": [1, 2]}, '
+    '{"label": "a13", "conjugator": [2], "block": [1, 2], "enclosed": [1, 3]}, '
+    '{"label": "a23", "conjugator": [], "block": [2, 3], "enclosed": [2, 3]}], '
+    '"report": {"braid_ok": true, "framing_ok": true, "verified": true, "witness": null}}\n'
+)
+
+
+def test_worked_v3_export_is_the_v2_bytes_but_for_the_schema(worked):
+    # No conjugator of the classical lantern extends one longer than its tail.
+    text = L.export_relation(L.verified_relation(worked), "json")
+    assert text == WORKED_V2_JSON.replace("lantern-relation/2", "lantern-relation/3")
+    assert L.parse_relation(WORKED_V2_JSON) == L.parse_relation(text)
+
+
+def _spelled(relation, schema):
+    """`relation` as a document of `schema` that spells every conjugator in full."""
+    data = L.relation_to_dict(relation)
+    data["schema"] = schema
+    for entry, descriptor in zip(data["rhs"], relation.rhs):
+        entry.pop("extends", None)
+        entry["conjugator"] = list(descriptor.conjugator.letters)
+    return data
+
+
+def test_v3_stores_tails_and_round_trips_byte_for_byte():
+    rng = random.Random(35)
+    relations = [L.verified_relation(L.make_doubled_daisy(6))]
+    relations += [
+        L.verified_relation(L.shear_to_generic(random_arrangement(rng, rng.randint(4, 9)))[0])
+        for _ in range(12)
+    ]
+    for relation in relations:
+        text = L.export_relation(relation, "json")
+        data = json.loads(text)
+        assert any("extends" in entry for entry in data["rhs"])
+        for index, entry in enumerate(data["rhs"]):
+            letters = relation.rhs[index].conjugator.letters
+            if "extends" in entry:
+                assert entry["extends"] == index + 1
+                following = relation.rhs[index + 1].conjugator.letters
+                assert letters == following + tuple(entry["conjugator"])
+                assert len(following) > len(entry["conjugator"])
+            else:
+                assert entry["conjugator"] == list(letters)
+        parsed = L.parse_relation(text)
+        assert parsed == relation and parsed.report.verified
+        assert L.export_relation(parsed, "json") == text
+        # the same relation spelled in full, as schema 2 wrote it, parses to it too
+        v2 = L.parse_relation(json.dumps(_spelled(relation, "lantern-relation/2")))
+        assert v2 == relation
+        assert L.export_relation(v2, "json") == text
+
+
+def test_v3_writer_decides_on_letters_not_on_construction():
+    relation = L.lantern_relation(L.make_doubled_daisy(6))
+    respelled = L.Relation(
+        relation.name,
+        relation.n,
+        relation.lhs,
+        tuple(
+            L.TwistDescriptor(BraidWord(d.conjugator.n, d.conjugator.letters), d.block, d.enclosed)
+            for d in relation.rhs
+        ),
+    )
+    assert respelled == relation
+    assert L.export_relation(respelled, "json") == L.export_relation(relation, "json")
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("rhs", 0, "extends"), 0),
+        (("rhs", 1, "extends"), 0),
+        (("rhs", 0, "extends"), 11),
+        (("rhs", 0, "extends"), True),
+        (("rhs", 0, "extends"), 1.0),
+        (("rhs", 0, "extends"), "1"),
+        (("rhs", 9, "extends"), 10),
+        (("rhs", 0, "conjugator", 0), True),
+    ],
+    ids=[
+        "self",
+        "earlier",
+        "past-the-end",
+        "true",
+        "float",
+        "string",
+        "on-the-last-entry",
+        "tail-letter-true",
+    ],
+)
+def test_v3_references_are_checked(path, value):
+    data = json.loads(L.export_relation(L.verified_relation(L.make_doubled_daisy(6)), "json"))
+    assert len(data["rhs"]) == 10 and data["rhs"][0]["extends"] == 1
+    assert data["rhs"][1]["extends"] == 2 and "extends" not in data["rhs"][9]
+    _assign(data, path, value)
+    with pytest.raises(ValueError):
+        L.parse_relation(json.dumps(data))
+
+
+def test_v3_reference_to_a_wrong_conjugator_fails_the_descriptor_check():
+    data = json.loads(L.export_relation(L.lantern_relation(L.make_doubled_daisy(6)), "json"))
+    data["rhs"][0]["extends"] = 2
+    with pytest.raises(L.InconsistentDescriptor):
+        L.parse_relation(json.dumps(data))
+
+
+def test_swapped_v3_entries_never_verify():
+    """Swapping two adjacent entries gives ValueError or an unverified relation.
+
+    Only pairs whose curves share a line are swapped: twists about disjoint
+    sets of lines commute, so swapping those gives a true relation.
+    """
+    rng = random.Random(36)
+    relations = [L.verified_relation(L.make_doubled_daisy(6)), L.verified_relation(L.make_daisy(5))]
+    relations += [
+        L.verified_relation(L.shear_to_generic(random_arrangement(rng, rng.randint(3, 8)))[0])
+        for _ in range(12)
+    ]
+    outcomes = {"refused": 0, "unverified": 0}
+    for relation in relations:
+        data = json.loads(L.export_relation(relation, "json"))
+        for i in range(len(data["rhs"]) - 1):
+            if not set(data["rhs"][i]["enclosed"]) & set(data["rhs"][i + 1]["enclosed"]):
+                continue
+            swapped = json.loads(json.dumps(data))
+            swapped["rhs"][i], swapped["rhs"][i + 1] = swapped["rhs"][i + 1], swapped["rhs"][i]
+            with pytest.raises(ValueError):
+                L.parse_relation(json.dumps(swapped))  # the stored report says "yes"
+            swapped["report"] = None
+            try:
+                parsed = L.parse_relation(json.dumps(swapped))
+            except ValueError:
+                outcomes["refused"] += 1
+            else:
+                assert not L.verify_relation(parsed).verified
+                outcomes["unverified"] += 1
+    assert outcomes["refused"] >= 20 and outcomes["unverified"] >= 5, outcomes
+
+
+def test_v3_stored_letters_are_quadratic_at_n30():
+    arr, _ = L.shear_to_generic(random_arrangement(random.Random(99), 30, allow_concurrent=False))
+    data = json.loads(L.export_relation(L.lantern_relation(arr), "json"))
+    assert len(data["rhs"]) == 431
+    stored = sum(len(entry["conjugator"]) for entry in data["rhs"])
+    assert stored <= 30 * 29 // 2 * 29
+
+
+def test_long_chain_compares_and_spells_without_recursion():
+    n, links = 5, 6784
+    rng = random.Random(37)
+    tails = [random_braid(rng, n, rng.randint(1, 3)) for _ in range(links)]
+    first, second = BraidWord(n), BraidWord(n)
+    for tail in tails:
+        first = first * tail
+        second = second * BraidWord(n, tail.letters)
+    spelled = tuple(x for tail in tails for x in tail.letters)
+    assert first is not second and len(first) == len(spelled)
+    assert first == second and hash(first) == hash(second)
+    assert first == BraidWord(n, spelled) == second
+    assert first.letters == spelled and second.letters == spelled
+    assert first != second * BraidWord(n, (1,)) and first != BraidWord(n, spelled[:-1] + (-spelled[-1],))
