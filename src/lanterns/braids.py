@@ -360,26 +360,39 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     return artin_image(u) == artin_image(v)
 
 
-def half_twist_block(n: int, a: int, b: int) -> BraidWord:
-    """The positive half twist of the contiguous strand block a..b.
+def half_twist_letters(a: int, b: int) -> tuple[int, ...]:
+    """Letters of the positive half twist of the strand block a..b.
 
-    Word (sigma_a)(sigma_{a+1} sigma_a)...(sigma_{b-1} ... sigma_a); its
-    permutation reverses the block and fixes everything else.  A singleton
-    block gives the empty word.
+    (sigma_a)(sigma_{a+1} sigma_a)...(sigma_{b-1} ... sigma_a), empty for a
+    singleton block.  The block is not checked: callers pass a checked one.
     """
-    if not 1 <= a <= b <= n:
-        raise ValueError(f"block [{a}, {b}] outside 1..{n}")
     letters: list[int] = []
     for top in range(a, b):
         letters.extend(range(top, a - 1, -1))
+    return tuple(letters)
+
+
+def _check_block(n: int, a: int, b: int) -> None:
+    if not 1 <= a <= b <= n:
+        raise ValueError(f"block [{a}, {b}] outside 1..{n}")
+
+
+def half_twist_block(n: int, a: int, b: int) -> BraidWord:
+    """The positive half twist of the contiguous strand block a..b.
+
+    Its word is `half_twist_letters(a, b)`; its permutation reverses the
+    block and fixes everything else.  A singleton block gives the empty
+    word.
+    """
+    _check_block(n, a, b)
     perm = tuple(range(1, a)) + tuple(range(b, a - 1, -1)) + tuple(range(b + 1, n + 1))
-    return _known(n, tuple(letters), perm)
+    return _known(n, half_twist_letters(a, b), perm)
 
 
 def full_twist_block(n: int, a: int, b: int) -> BraidWord:
     """The full twist of the block a..b: the half twist squared, pure."""
-    half = half_twist_block(n, a, b)
-    return _known(n, half.letters * 2, tuple(range(1, n + 1)))
+    _check_block(n, a, b)
+    return _known(n, half_twist_letters(a, b) * 2, tuple(range(1, n + 1)))
 
 
 def boundary_word_image(word: BraidWord) -> FreeWord:

@@ -50,6 +50,7 @@ from .braids import (
     braids_equal,
     divergent_tails,
     full_twist_block,
+    half_twist_letters,
     inverse_letters,
     is_pure,
     permutation,
@@ -100,12 +101,13 @@ class TwistDescriptor:
     def __post_init__(self):
         n = self.conjugator.n
         a, b = self.block
-        if not 1 <= a <= b <= n:
-            raise InconsistentDescriptor(f"block [{a}, {b}] outside 1..{n}")
+        if type(a) is not int or type(b) is not int or not 1 <= a <= b <= n:
+            raise InconsistentDescriptor(f"block [{a!r}, {b!r}] is not a block of 1..{n}")
         enclosed = frozenset(self.enclosed)
         object.__setattr__(self, "enclosed", enclosed)
-        if not enclosed <= set(range(1, n + 1)):
-            raise InconsistentDescriptor(f"enclosed {sorted(enclosed)} outside 1..{n}")
+        for line_id in enclosed:  # exact type: a bool is an int equal to 0 or 1
+            if type(line_id) is not int or not 1 <= line_id <= n:
+                raise InconsistentDescriptor(f"enclosed {line_id!r} is not a line id in 1..{n}")
         if len(enclosed) != b - a + 1:
             raise InconsistentDescriptor(
                 f"block [{a}, {b}] holds {b - a + 1} strands but encloses "
@@ -217,7 +219,7 @@ def twist_product(descriptors: Iterable[TwistDescriptor], n: int) -> FramedEleme
             reduce_onto(letters, inverse_letters(tail))
         for tail in reversed(forth):
             reduce_onto(letters, tail)
-        reduce_onto(letters, full_twist_block(n, *descriptor.block).letters)
+        reduce_onto(letters, half_twist_letters(*descriptor.block) * 2)
         for line_id in descriptor.enclosed:
             framing[line_id - 1] += 1
         previous = conjugator

@@ -8,26 +8,41 @@ of the lines is exactly 1, 2, ..., n.
 
 Everything here is exact: coefficients are `fractions.Fraction`, equality
 tests are decidable, and identical input produces bit-identical output.  No
-float is ever consulted.
+float is ever consulted.  The kernels run on integers: points are grouped
+by integer keys over the common denominator of all coefficients, ranked on
+the integer floor(2^64 * x) with exact comparisons only where those keys
+tie, and every fiber order is checked against integer heights at integer
+sample pairs (p, q) standing for x = p/q.
 
 Intersection points are ranked by strictly decreasing x-coordinate.  Two
 distinct points sharing an x-coordinate violate the genericity the ranking
 needs; that raises `NonGenericX` instead of being silently perturbed, and
 `shear_to_generic` performs the repair explicitly when the caller asks.
+
+The ranked points and the block each one reverses (the arrangement's
+allowable sequence) are a pure function of the immutable `Arrangement`,
+so they are derived and checked once per arrangement object and kept in
+its `__dict__`, outside equality, hashing and repr: `intersections`,
+`fiber_blocks`, `order_profiles` and `shear_to_generic` on an arrangement
+that another stage already processed read what that stage kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd, lcm
+from operator import gt, itemgetter
 from typing import Iterable, Sequence
 
 Rational = Fraction
 # Accepted spellings of an exact rational input value.  Floats are rejected
 # on purpose: they smuggle binary rounding into an exact pipeline.
 RationalLike = Fraction | int | str
+
+# Points are ranked on floor(2^_RANK_BITS * x); only equal keys are compared exactly.
+_RANK_BITS = 64
 
 
 class DuplicateSlope(ValueError):
@@ -219,28 +234,56 @@ def _group_points(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set
     return scale, groups
 
 
+def _grouping(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set[int]]]:
+    """`_group_points(arr)`, computed once per arrangement object and kept on it."""
+    grouped = arr.__dict__.get("_groups")
+    if grouped is None:
+        grouped = arr.__dict__["_groups"] = _group_points(arr)
+    return grouped
+
+
 def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
     """All intersection points, grouped exactly and ranked by decreasing x.
 
-    Raises `NonGenericX` when two distinct points share an x-coordinate.
+    Points are ranked on the integer key floor(2^64 * x), which is monotone
+    in x; only points whose keys tie (x's less than 2^-64 apart) are
+    compared exactly, as `Fraction`s, and no float is consulted.  The
+    result is computed once per arrangement object and kept on it (the
+    grouping it was read from is then dropped).  Raises `NonGenericX` when
+    two distinct points share an x-coordinate.
     """
     if arr.n < 2:
         raise ValueError("intersections need at least two lines")
-    scale, groups = _group_points(arr)
+    points = arr.__dict__.get("_points")
+    if points is None:
+        points = arr.__dict__["_points"] = _ranked_points(arr, *_grouping(arr))
+        arr.__dict__.pop("_groups", None)
+    return points
+
+
+def _ranked_points(
+    arr: Arrangement, scale: int, groups: dict[tuple[int, int, int], set[int]]
+) -> tuple[IntersectionPoint, ...]:
+    """The grouped points ranked by decreasing x = p/q, checked for genericity and pair count."""
     located = sorted(
-        (
-            (Fraction(p, q), Fraction(h, scale * q), tuple(sorted(members)))
-            for (p, q, h), members in groups.items()
-        ),
-        key=lambda point: point[0],
+        (((p << _RANK_BITS) // q, p, q, h, members) for (p, q, h), members in groups.items()),
+        key=itemgetter(0),
         reverse=True,
     )
-    for first, second in zip(located, located[1:]):
-        if first[0] == second[0]:
-            raise NonGenericX(first, second)
+    keys = [entry[0] for entry in located]
+    if len(set(keys)) < len(keys):
+        # Equal keys hold x's less than 2^-64 apart: rank those exactly.
+        located = [
+            entry
+            for _, tied in groupby(located, key=itemgetter(0))
+            for entry in sorted(tied, key=lambda e: Fraction(e[1], e[2]), reverse=True)
+        ]
+        for first, second in zip(located, located[1:]):
+            if first[1:3] == second[1:3]:
+                raise NonGenericX(_located(scale, first), _located(scale, second))
     points = tuple(
-        IntersectionPoint(x, y, members, rank)
-        for rank, (x, y, members) in enumerate(located, start=1)
+        IntersectionPoint(*_located(scale, entry), rank)
+        for rank, entry in enumerate(located, start=1)
     )
     pair_count = sum(len(p.lines) * (len(p.lines) - 1) // 2 for p in points)
     if pair_count != arr.n * (arr.n - 1) // 2:
@@ -248,6 +291,12 @@ def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
             f"pair count {pair_count} != C({arr.n},2); intersection grouping is broken"
         )
     return points
+
+
+def _located(scale: int, entry: tuple) -> tuple[Fraction, Fraction, tuple[int, ...]]:
+    """(x, y, sorted line ids) of a ranked entry (key, p, q, h, members)."""
+    _, p, q, h, members = entry
+    return Fraction(p, q), Fraction(h, scale * q), tuple(sorted(members))
 
 
 def line_multiplicities(arr: Arrangement, points: Sequence[IntersectionPoint] | None = None) -> dict[int, int]:
@@ -261,26 +310,80 @@ def line_multiplicities(arr: Arrangement, points: Sequence[IntersectionPoint] | 
     return mu
 
 
-def _check_orders(
-    arr: Arrangement, samples: Sequence[Fraction], orders: Sequence[tuple[int, ...]]
+def _check_heights(
+    j: int, order: list[int], coefficients: list[tuple[int, int]], p: int, q: int
 ) -> None:
-    """At each sample x the heights must strictly decrease along its order.
+    """At the sample x = p/q (q > 0) the heights must strictly decrease along profile j.
 
     That holds exactly when sorting the lines by height at x gives the
-    order with no two heights equal, at n evaluations and no sort.  With
-    D the common denominator of all coefficients and x = p/q, the integer
-    D*q*y = (D*slope)*p + (D*intercept)*q orders the heights exactly.
+    order with no two heights equal, at n evaluations and no sort.
+    `coefficients` holds each line's integers (D*slope, D*intercept), D the
+    common denominator of all coefficients, in the order's line order, so
+    the integers D*q*y = (D*slope)*p + (D*intercept)*q order the heights
+    exactly; they are compared with a C-level `map`.
     """
+    heights = [m * p + c * q for m, c in coefficients]
+    if not all(map(gt, heights, heights[1:])):
+        k = next(k for k in range(len(heights) - 1) if heights[k] <= heights[k + 1])
+        raise InvariantViolation(
+            f"profile {j} is {tuple(order)}, but at x={Fraction(p, q)} line {order[k]} is not "
+            f"above line {order[k + 1]}"
+        )
+
+
+def _checked_blocks(
+    arr: Arrangement, points: Sequence[IntersectionPoint]
+) -> tuple[tuple[int, int], ...]:
+    """The position block B_j = [lo, hi] reversed at each point, checked against the geometry.
+
+    O_0 is the identity order (1, ..., n), and O_j arises from O_{j-1} by
+    reversing the block of lines through the rank-j point, which must be
+    contiguous; a line -> position array finds the block.  Each O_j is
+    then checked at a sample x inside its interval (`_check_heights`): x_1
+    + 1 right of every point, the midpoint (ad + cb)/(2bd) of consecutive
+    x's a/b and c/d, and x_s - 1 left of them, all as integer pairs.  A
+    violation aborts because it can only mean broken arithmetic, never bad
+    input.
+    """
+    n = arr.n
     _, coefficients = _integer_coefficients(arr)
-    for j, (x, order) in enumerate(zip(samples, orders)):
-        p, q = x.numerator, x.denominator
-        heights = [m * p + c * q for m, c in (coefficients[i - 1] for i in order)]
-        for k in range(len(order) - 1):
-            if heights[k] <= heights[k + 1]:
-                raise InvariantViolation(
-                    f"profile {j} is {order}, but at x={x} line {order[k]} is not "
-                    f"above line {order[k + 1]}"
-                )
+    order = list(range(1, n + 1))
+    where = list(range(-1, n))  # where[line id] = its 0-based position in `order`
+    xs = [(point.x.numerator, point.x.denominator) for point in points]
+    samples = [(xs[0][0] + xs[0][1], xs[0][1])]
+    samples += [(a * d + c * b, 2 * b * d) for (a, b), (c, d) in zip(xs, xs[1:])]
+    samples.append((xs[-1][0] - xs[-1][1], xs[-1][1]))
+
+    _check_heights(0, order, coefficients, *samples[0])
+    blocks = []
+    for j, (point, sample) in enumerate(zip(points, samples[1:]), start=1):
+        positions = [where[line_id] for line_id in point.lines]
+        lo, hi = min(positions), max(positions)
+        if hi - lo + 1 != len(positions):
+            raise InvariantViolation(
+                f"lines {point.lines} not contiguous in profile {j - 1}: {tuple(order)}"
+            )
+        order[lo : hi + 1] = reversed(order[lo : hi + 1])
+        coefficients[lo : hi + 1] = reversed(coefficients[lo : hi + 1])
+        for k in range(lo, hi + 1):
+            where[order[k]] = k
+        blocks.append((lo + 1, hi + 1))
+        _check_heights(j, order, coefficients, *sample)
+    return tuple(blocks)
+
+
+def fiber_blocks(arr: Arrangement) -> tuple[tuple[int, int], ...]:
+    """The checked 1-based position block each intersection point reverses, in rank order.
+
+    Block j is where the lines through the rank-j point sit in the fiber
+    order O_{j-1}; together with `intersections(arr)` it is the
+    arrangement's allowable sequence.  Computed once per arrangement object
+    and kept on it.
+    """
+    blocks = arr.__dict__.get("_blocks")
+    if blocks is None:
+        blocks = arr.__dict__["_blocks"] = _checked_blocks(arr, intersections(arr))
+    return blocks
 
 
 def order_profiles(
@@ -291,31 +394,23 @@ def order_profiles(
     The orders are derived from the combinatorics: O_0 is the identity
     order (1, ..., n), and O_j arises from O_{j-1} by reversing the block of
     lines through the rank-j point, which must be contiguous.  Each O_j is
-    then checked against the geometry: at a sample x inside its interval
-    the heights strictly decrease along O_j.  A violation aborts because it
-    can only mean broken arithmetic, never bad input.  `points` are the
-    arrangement's intersections in rank order, computed when not given.
+    checked against the geometry: at a sample x inside its interval the
+    heights strictly decrease along O_j.  A violation aborts because it can
+    only mean broken arithmetic, never bad input.
+
+    Without `points` the orders replay the arrangement's checked blocks
+    (`fiber_blocks`, derived and checked once per arrangement object).
+    Given `points`, the arrangement's intersections in rank order, the
+    blocks are derived and checked afresh from them, and the arrangement's
+    kept results are neither read nor written.
     """
     if arr.n == 1:
         return (OrderProfile(0, (1,)),)
-    if points is None:
-        points = intersections(arr)
-    xs = [p.x for p in points]
-    samples = [xs[0] + 1]
-    samples += [(xs[j] + xs[j + 1]) / 2 for j in range(len(xs) - 1)]
-    samples += [xs[-1] - 1]
-
+    blocks = fiber_blocks(arr) if points is None else _checked_blocks(arr, points)
     orders = [tuple(range(1, arr.n + 1))]
-    for j, point in enumerate(points, start=1):
+    for lo, hi in blocks:
         prev = orders[-1]
-        positions = sorted(prev.index(line_id) for line_id in point.lines)
-        lo, hi = positions[0], positions[-1]
-        if positions != list(range(lo, hi + 1)):
-            raise InvariantViolation(
-                f"lines {point.lines} not contiguous in profile {j - 1}: {prev}"
-            )
-        orders.append(prev[:lo] + prev[lo : hi + 1][::-1] + prev[hi + 1 :])
-    _check_orders(arr, samples, orders)
+        orders.append(prev[: lo - 1] + prev[lo - 1 : hi][::-1] + prev[hi:])
     return tuple(OrderProfile(j, order) for j, order in enumerate(orders))
 
 
@@ -346,9 +441,13 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     t can collide a pair of x's, flip the slope order, or create a vertical
     line, so the halving search terminates.  Each arrangement examined is
     grouped once: its groups are generic when no two share an x, and their
-    line sets are its concurrency partition.
+    line sets are its concurrency partition.  The grouping stays on the
+    arrangement returned, so `intersections` does not group it again; an
+    arrangement whose points were already ranked is generic as it is.
     """
-    _, groups = _group_points(arr)
+    if "_points" in arr.__dict__:
+        return arr, Fraction(0)
+    _, groups = _grouping(arr)
     if len({(p, q) for p, q, _ in groups}) == len(groups):
         return arr, Fraction(0)
 
@@ -357,7 +456,7 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     for _ in range(256):
         candidate = _shear_lines(arr, t)
         if candidate is not None:
-            _, groups = _group_points(candidate)
+            _, groups = _grouping(candidate)
             if len({(p, q) for p, q, _ in groups}) == len(groups):
                 if {frozenset(members) for members in groups.values()} != partition:
                     raise InvariantViolation(

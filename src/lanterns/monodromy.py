@@ -67,9 +67,9 @@ from .framed import (
 from .geometry import (
     Arrangement,
     IntersectionPoint,
+    fiber_blocks,
     intersections,
     line_multiplicities,
-    order_profiles,
 )
 from .relation import Relation, verify_relation
 
@@ -102,27 +102,23 @@ class MonodromyData:
 def braid_monodromy(arr: Arrangement) -> MonodromyData:
     """Conjugator, block, and twist for every intersection point.
 
-    Requires x-generic input; propagates NonGenericX otherwise.
-    `order_profiles` checks that the lines through each point are
-    contiguous in the fiber order; the descriptor consistency (the
-    conjugator really carries the enclosed lines onto the block) is
-    re-checked at construction for every point.  Each conjugator is the
-    previous one times one block half twist, a link of one prefix chain
-    that holds the previous conjugator rather than its letters, so the
-    descriptors share O(n^2) letters in all, each permutation is composed
-    in O(n), and the check never re-reads the shared letters.
+    Requires x-generic input; propagates NonGenericX otherwise.  The points
+    and their blocks are the arrangement's `intersections` and
+    `fiber_blocks`, derived and checked against the geometry once per
+    arrangement object (the lines through each point are contiguous in the
+    fiber order, and every order matches the heights); the descriptor
+    consistency (the conjugator really carries the enclosed lines onto the
+    block) is re-checked at construction for every point.  Each conjugator
+    is the previous one times one block half twist, a link of one prefix
+    chain that holds the previous conjugator rather than its letters, so
+    the descriptors share O(n^2) letters in all, each permutation is
+    composed in O(n), and the check never re-reads the shared letters.
     """
-    points = intersections(arr)
-    profiles = order_profiles(arr, points)
     beta = BraidWord(arr.n)
     twists: list[PointTwist] = []
-    for point in points:
-        before = profiles[point.rank - 1].order
-        positions = sorted(before.index(line_id) + 1 for line_id in point.lines)
-        lo, hi = positions[0], positions[-1]
-        descriptor = TwistDescriptor(beta, (lo, hi), frozenset(point.lines))
-        twists.append(PointTwist(point, descriptor))
-        beta = beta * half_twist_block(arr.n, lo, hi)
+    for point, block in zip(intersections(arr), fiber_blocks(arr)):
+        twists.append(PointTwist(point, TwistDescriptor(beta, block, frozenset(point.lines))))
+        beta = beta * half_twist_block(arr.n, *block)
     return MonodromyData(arr, tuple(twists))
 
 

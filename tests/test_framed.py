@@ -67,6 +67,21 @@ def test_inconsistent_descriptor_rejected():
         TwistDescriptor(BraidWord(3), (1, 2), frozenset({1, 2, 3}))
 
 
+@pytest.mark.parametrize(
+    "block, enclosed",
+    [
+        ((1, 2), {True, 2}),  # used to be labeled 'aTrue2' and exported unparseable
+        ((True, 2), {1, 2}),
+        ((1.0, 2), {1, 2}),
+        ((1, 2), {1.0, 2}),
+        ((1, 2), {1, "2"}),
+    ],
+)
+def test_descriptor_line_ids_and_block_ends_are_plain_ints(block, enclosed):
+    with pytest.raises(L.InconsistentDescriptor):
+        TwistDescriptor(BraidWord(3), block, frozenset(enclosed))
+
+
 def test_elements_equal_examples():
     assert not L.elements_equal(
         L.inner_boundary_twist(3, 1), L.inner_boundary_twist(3, 2)

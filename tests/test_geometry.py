@@ -248,3 +248,118 @@ def test_integer_grouping_matches_the_fraction_reference():
             (x, y, members) for (x, y), members in ordered
         ]
     assert forced >= 20 and huge >= 30
+
+
+def _count_derivations(monkeypatch):
+    """Count `_group_points` calls and height-checked samples from here on."""
+    counts = {"groupings": 0, "samples": 0}
+    group_points = L.geometry._group_points
+    check_heights = L.geometry._check_heights
+
+    def grouping(arr):
+        counts["groupings"] += 1
+        return group_points(arr)
+
+    def heights(*args):
+        counts["samples"] += 1
+        return check_heights(*args)
+
+    monkeypatch.setattr("lanterns.geometry._group_points", grouping)
+    monkeypatch.setattr("lanterns.geometry._check_heights", heights)
+    return counts
+
+
+def _stages(arr):
+    relation = L.verified_relation(arr)
+    return (
+        relation,
+        L.total_monodromy(arr),
+        L.order_profiles(arr),
+        L.intersections(arr),
+        L.shear_to_generic(arr),
+    )
+
+
+def test_each_arrangement_is_derived_once(monkeypatch):
+    rng = random.Random(13)
+    for n in (2, 3, 5, 8):
+        generic, _ = L.shear_to_generic(random_arrangement(rng, n))
+        lines = [(line.slope, line.intercept) for line in generic.lines]
+        arr = L.validate_arrangement(lines)
+        counts = _count_derivations(monkeypatch)
+        first = _stages(arr)
+        points = L.intersections(arr)
+        assert counts == {"groupings": 1, "samples": len(points) + 1}
+        assert _stages(arr) == first
+        assert counts == {"groupings": 1, "samples": len(points) + 1}
+        monkeypatch.undo()
+        # the kept results are those of a fresh, equal arrangement
+        fresh = L.validate_arrangement(lines)
+        assert fresh == arr
+        relation, total, profiles, fresh_points, sheared = _stages(fresh)
+        assert relation == first[0] and relation.report == first[0].report
+        assert L.elements_equal(total, first[1]) and total.braid.letters == first[1].braid.letters
+        assert (profiles, fresh_points) == first[2:4]
+        assert sheared[0] is fresh and first[4][0] is arr
+
+
+def test_shear_hands_its_grouping_to_the_result(monkeypatch):
+    counts = _count_derivations(monkeypatch)
+    sheared, t = L.shear_to_generic(L.validate_arrangement(NON_GENERIC_LINES))
+    assert t != 0 and counts["groupings"] == 2
+    relation = L.verified_relation(sheared)
+    assert relation.report.verified
+    assert counts["groupings"] == 2
+
+
+def test_failing_explicit_points_leave_the_kept_results_alone():
+    lines = [(line.slope, line.intercept) for line in
+             random_arrangement(random.Random(5), 6, allow_concurrent=False).lines]
+    arr, _ = L.shear_to_generic(L.validate_arrangement(lines))
+    points = L.intersections(arr)
+    swapped = [replace(points[1], rank=1), replace(points[0], rank=2), *points[2:]]
+    with pytest.raises(L.InvariantViolation):
+        L.order_profiles(arr, swapped)
+    reference, _ = L.shear_to_generic(L.validate_arrangement(lines))
+    expected = [(t.point, t.descriptor) for t in L.braid_monodromy(reference).twists]
+    assert [(t.point, t.descriptor) for t in L.braid_monodromy(arr).twists] == expected
+    assert L.order_profiles(arr) == L.order_profiles(reference)
+    # a failing call after the derivation does not disturb what was kept
+    with pytest.raises(L.InvariantViolation):
+        L.order_profiles(arr, swapped)
+    assert [(t.point, t.descriptor) for t in L.braid_monodromy(arr).twists] == expected
+    assert L.verified_relation(arr).report.verified
+
+
+def _fraction_ranked(arr):
+    groups = _reference_groups(arr)
+    return [
+        (x, y, tuple(sorted(members)))
+        for (x, y), members in sorted(groups.items(), key=lambda item: item[0][0], reverse=True)
+    ]
+
+
+@pytest.mark.parametrize("offset", [Fraction(1, 10**30), Fraction(-1, 10**30)])
+def test_x_closer_than_the_rank_key_resolution_is_ranked_exactly(offset):
+    # lines 1, 4 meet at x1 and lines 2, 3 at x2, less than 2^-64 apart, so
+    # floor(2^64 * x) ties and only the exact comparison can order them
+    x1, x2 = Fraction(1, 3), Fraction(1, 3) + offset
+    assert (x1.numerator << 64) // x1.denominator == (x2.numerator << 64) // x2.denominator
+    arr = L.validate_arrangement([(3, -3 * x1), (2, 5 - 2 * x2), (-2, 5 + 2 * x2), (-3, 3 * x1)])
+    points = L.intersections(arr)
+    assert [(p.x, p.y, p.lines) for p in points] == _fraction_ranked(arr)
+    assert {x1, x2} <= {p.x for p in points}
+    assert L.verified_relation(arr).report.verified
+
+
+def test_huge_intercepts_are_ranked_without_floats():
+    big = 10**400
+    arr = L.validate_arrangement(
+        [(3, big + 7), (1, -2 * big), (Fraction(-1, 2), 5 * big + 1), (-4, Fraction(big, 3))]
+    )
+    points = L.intersections(arr)
+    with pytest.raises(OverflowError):
+        float(points[0].x)
+    assert [(p.x, p.y, p.lines) for p in points] == _fraction_ranked(arr)
+    assert L.order_profiles(arr)[-1].order == (4, 3, 2, 1)
+    assert L.verified_relation(arr).report.verified
