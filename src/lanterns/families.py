@@ -433,7 +433,9 @@ class DoubledDaisyCheck(FamilyCheck):
     they were.
     """
 
-    display_ok: bool = False
+    @property
+    def display_ok(self) -> bool:
+        return self.verification.verified
 
 
 def _structure_check(
@@ -497,6 +499,4 @@ def check_doubled_daisy(n: int) -> DoubledDaisyCheck:
     relation, lhs_ok, rhs_ok, problems = _structure_check(
         "doubled-daisy", arr, expected_sets, expected_lhs
     )
-    return DoubledDaisyCheck(
-        "doubled-daisy", n, relation, lhs_ok, rhs_ok, problems, relation.report.verified
-    )
+    return DoubledDaisyCheck("doubled-daisy", n, relation, lhs_ok, rhs_ok, problems)

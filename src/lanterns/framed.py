@@ -41,6 +41,7 @@ Dehn twist constructors:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from typing import Iterable
 
@@ -121,8 +122,9 @@ class TwistDescriptor:
                 f"[{a}, {b}]"
             )
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """Read off `enclosed` once; kept outside equality and repr."""
         return twist_label(self.enclosed)
 
 

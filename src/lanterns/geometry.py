@@ -23,8 +23,9 @@ The ranked points and the block each one reverses (the arrangement's
 allowable sequence) are a pure function of the immutable `Arrangement`,
 so they are derived and checked once per arrangement object and kept in
 its `__dict__`, outside equality, hashing and repr: `intersections`,
-`fiber_blocks`, `order_profiles` and `shear_to_generic` on an arrangement
-that another stage already processed read what that stage kept.
+`fiber_blocks`, `order_profiles`, `line_multiplicities` and
+`shear_to_generic` on an arrangement that another stage already processed
+read what that stage kept.
 """
 
 from __future__ import annotations
@@ -299,12 +300,10 @@ def _located(scale: int, entry: tuple) -> tuple[Fraction, Fraction, tuple[int, .
     return Fraction(p, q), Fraction(h, scale * q), tuple(sorted(members))
 
 
-def line_multiplicities(arr: Arrangement, points: Sequence[IntersectionPoint] | None = None) -> dict[int, int]:
+def line_multiplicities(arr: Arrangement) -> dict[int, int]:
     """Number of intersection points on each line, keyed by line id."""
-    if points is None:
-        points = intersections(arr)
     mu = {line.id: 0 for line in arr.lines}
-    for p in points:
+    for p in intersections(arr):
         for line_id in p.lines:
             mu[line_id] += 1
     return mu
@@ -386,9 +385,7 @@ def fiber_blocks(arr: Arrangement) -> tuple[tuple[int, int], ...]:
     return blocks
 
 
-def order_profiles(
-    arr: Arrangement, points: Sequence[IntersectionPoint] | None = None
-) -> tuple[OrderProfile, ...]:
+def order_profiles(arr: Arrangement) -> tuple[OrderProfile, ...]:
     """The fiber orders O_0 .. O_s over the intervals between projections.
 
     The orders are derived from the combinatorics: O_0 is the identity
@@ -398,38 +395,42 @@ def order_profiles(
     heights strictly decrease along O_j.  A violation aborts because it can
     only mean broken arithmetic, never bad input.
 
-    Without `points` the orders replay the arrangement's checked blocks
-    (`fiber_blocks`, derived and checked once per arrangement object).
-    Given `points`, the arrangement's intersections in rank order, the
-    blocks are derived and checked afresh from them, and the arrangement's
-    kept results are neither read nor written.
+    The orders replay the arrangement's checked blocks (`fiber_blocks`),
+    which are derived and checked once per arrangement object.
     """
     if arr.n == 1:
         return (OrderProfile(0, (1,)),)
-    blocks = fiber_blocks(arr) if points is None else _checked_blocks(arr, points)
     orders = [tuple(range(1, arr.n + 1))]
-    for lo, hi in blocks:
+    for lo, hi in fiber_blocks(arr):
         prev = orders[-1]
         orders.append(prev[: lo - 1] + prev[lo - 1 : hi][::-1] + prev[hi:])
     return tuple(OrderProfile(j, order) for j, order in enumerate(orders))
 
 
-def _shear_lines(arr: Arrangement, t: Fraction) -> Arrangement | None:
-    """Apply (x, y) -> (x - t*y, y); None when the shear is inadmissible.
+def _admissible_shear(arr: Arrangement, t: Fraction) -> bool:
+    """Whether the shear by t > 0 is admissible, in closed form (proof at `_shear_lines`)."""
+    return not t * arr.lines[-1].slope <= 1 <= t * arr.lines[0].slope
 
-    A line y = m*x + c maps to slope m/(1 - m*t), intercept c/(1 - m*t);
-    the shear is inadmissible if some line turns vertical or the slope
-    order (hence the labeling) changes.
+
+def _shear_lines(arr: Arrangement, t: Fraction) -> Arrangement:
+    """Apply (x, y) -> (x - t*y, y) for an admissible t > 0.
+
+    A line y = m*x + c maps to slope m/(1 - m*t), intercept c/(1 - m*t).
+    The shear is admissible when no line turns vertical and the slope order
+    (hence the labeling) is kept.  With m_1 the largest and m_n the smallest
+    slope, that holds exactly when not (t*m_n <= 1 <= t*m_1), which
+    `_admissible_shear` decides without building a line.  Proof: the map
+    f(m) = m/(1 - m*t) has derivative 1/(1 - m*t)^2 > 0, so it increases on
+    each side of 1/t, and f(m) + 1/t = 1/(t*(1 - m*t)), so it sends every
+    slope above 1/t below -1/t and every slope below 1/t above -1/t.  When
+    all slopes lie on one side of 1/t, f keeps their strict order.
+    Otherwise a slope equals 1/t and its line turns vertical, or
+    m_n < 1/t < m_1 and f(m_1) < -1/t < f(m_n) reverses the extreme pair.
     """
     transformed = []
     for line in arr.lines:
         denom = 1 - line.slope * t
-        if denom == 0:
-            return None
         transformed.append(Line(line.id, line.slope / denom, line.intercept / denom, line.name))
-    slopes = [line.slope for line in transformed]
-    if any(a <= b for a, b in zip(slopes, slopes[1:])):
-        return None
     return Arrangement(tuple(transformed), arr.source_order)
 
 
@@ -454,8 +455,8 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     partition = {frozenset(members) for members in groups.values()}
     t = Fraction(1, 2)
     for _ in range(256):
-        candidate = _shear_lines(arr, t)
-        if candidate is not None:
+        if _admissible_shear(arr, t):
+            candidate = _shear_lines(arr, t)
             _, groups = _grouping(candidate)
             if len({(p, q) for p, q, _ in groups}) == len(groups):
                 if {frozenset(members) for members in groups.values()} != partition:

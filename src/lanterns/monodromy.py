@@ -131,7 +131,7 @@ def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:
     here; the relation derives both sides when they are first used.
     """
     data = braid_monodromy(arr)
-    mu = line_multiplicities(arr, [t.point for t in data.twists])
+    mu = line_multiplicities(arr)
     return Relation(
         name=name,
         n=arr.n,

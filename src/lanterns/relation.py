@@ -18,7 +18,9 @@ stored label disagrees is refused.
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
 (schema `lantern-relation/3`, lossless; `parse_relation` inverts it
 exactly, and still reads schemas 1 and 2, checking a v1 document's stored
-words; a stored report is recomputed and must agree).
+words).  A stored report is compared, not parsed: the parser verifies the
+relation from its factors and the stored report must hold the same
+entries, compared as JSON text.
 
 Schema 3 stores conjugators by reference.  An rhs entry whose conjugator
 extends the next entry's carries `"extends": i + 1`, and its
@@ -29,7 +31,10 @@ export give the same bytes.  Along the monodromy's chain
 beta_{k+1} = beta_k * D_k a relation then stores O(n^2) letters, not
 O(n^4).  The parser accepts `"extends": j` for any later entry j, builds
 that entry's conjugator first and extends it, and refuses a reference to
-the entry itself, to an earlier one, or past the end.
+the entry itself, to an earlier one, or past the end.  `"extends"` is the
+only link the parser makes: an entry without it (every v1 and v2 entry) is
+spelled as stored, which equals the chained conjugator and re-exports to
+the same bytes, because equality and the writer decide on letters.
 """
 
 from __future__ import annotations
@@ -197,12 +202,6 @@ def _pair(values: Any, field: str) -> tuple[int, int]:
     return pair
 
 
-def _bool(value: Any, field: str) -> bool:
-    if type(value) is not bool:
-        raise ValueError(f"{field} must be a JSON boolean, got {value!r}")
-    return value
-
-
 def _element_from_dict(data: dict[str, Any], n: int) -> FramedElement:
     return FramedElement(BraidWord(n, tuple(data["braid"])), _ints(data["framing"], "framing"))
 
@@ -302,11 +301,10 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     """The rhs descriptors, read from the last entry back; every letter validated.
 
     One reader serves every schema.  An entry with `"extends": j` (j a
-    later entry) gets entry j's conjugator extended by its tail.  Any other
-    entry whose letters extend the next entry's conjugator (the telescoping
-    case, and every such v1 or v2 entry) is built as that conjugator times
-    the rest, so its permutation costs the tail's letters.  Each descriptor
-    is checked for consistency, and its label against its enclosed lines.
+    later entry) gets entry j's conjugator extended by its tail; that is
+    the only link between entries, so any other entry (every v1 or v2
+    entry) is spelled as stored.  Each descriptor is checked for
+    consistency, and its label against its enclosed lines.
     """
     conjugators: list[BraidWord] = [BraidWord(n)] * len(entries)
     descriptors: list[TwistDescriptor] = []
@@ -321,11 +319,6 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
                     f"of the {len(entries)}"
                 )
             word = conjugators[j] * word
-        elif index + 1 < len(entries):
-            following = conjugators[index + 1]
-            k = len(following)
-            if 0 < k <= len(word) and word.letters[:k] == following.letters:
-                word = following * BraidWord(n, word.letters[k:])
         conjugators[index] = word
         enclosed = frozenset(_ints(entry["enclosed"], "enclosed"))
         descriptor = TwistDescriptor(word, _pair(entry["block"], "block"), enclosed)
@@ -338,35 +331,13 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     return descriptors[::-1]
 
 
-def _relation_fields(data: dict[str, Any]) -> tuple[Relation, VerificationReport | None]:
-    """The relation a document describes, without a report, and its stored report."""
-    n = _int(data["n"], "n")
-    relation = Relation(
-        name=data["name"],
-        n=n,
-        lhs=tuple(_pair(pair, "lhs pair") for pair in data["lhs"]),
-        rhs=tuple(_descriptors(data["rhs"], n)),
-    )
-    rep = data.get("report")
-    if rep is None:
-        return relation, None
-    witness = None
-    if rep.get("witness") is not None:
-        witness = Witness(
-            _int(rep["witness"]["generator"], "witness generator"),
-            _ints(rep["witness"]["lhs_image"], "witness image"),
-            _ints(rep["witness"]["rhs_image"], "witness image"),
-        )
-    return relation, VerificationReport(
-        _bool(rep["braid_ok"], "braid_ok"), _bool(rep["framing_ok"], "framing_ok"), witness
-    )
-
-
 def relation_from_dict(data: dict[str, Any]) -> Relation:
     """Inverse of `relation_to_dict`; raises `ValueError` on any bad document.
 
-    A stored report is not trusted: it is recomputed from the parsed
-    factors and must agree, as a v1 document's stored words must.
+    A stored report is not parsed: the relation is verified from its
+    factors, and the stored report must hold the entries `_report_dict`
+    writes for the result, compared as JSON text (so `1` is not `true`),
+    as a v1 document's stored words must agree with the derived sides.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a relation document is a JSON object, not {type(data).__name__}")
@@ -374,14 +345,28 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
     if schema not in (JSON_SCHEMA, JSON_SCHEMA_V2, JSON_SCHEMA_V1):
         raise ValueError(f"unsupported relation schema {schema!r}")
     try:
-        relation, report = _relation_fields(data)
+        name, n = data["name"], _int(data["n"], "n")
+        if type(name) is not str:
+            raise ValueError(f"name must be a JSON string, got {name!r}")
+        relation = Relation(
+            name=name,
+            n=n,
+            lhs=tuple(_pair(pair, "lhs pair") for pair in data["lhs"]),
+            rhs=tuple(_descriptors(data["rhs"], n)),
+        )
         if schema == JSON_SCHEMA_V1:
             _check_v1_sides(data, relation)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {schema} document: {exc!r}") from exc
-    if report is None:
+    stored = data.get("report")
+    if stored is None:
         return relation
-    if verify_relation(relation) != report:
+    report = verify_relation(relation)
+    expected = _report_dict(report)
+    kept = None
+    if isinstance(stored, dict):
+        kept = {key: stored[key] for key in expected if key in stored}
+    if json.dumps(kept, sort_keys=True) != json.dumps(expected, sort_keys=True):
         raise ValueError("stored report does not match the relation's factors")
     return relation.with_report(report)
 

@@ -91,7 +91,7 @@ def test_make_daisy_combinatorics():
     arr = L.make_daisy(4)
     points = L.intersections(arr)
     assert [set(p.lines) for p in points] == [{1, 2}, {1, 3}, {1, 4}, {2, 3, 4}]
-    mu = L.line_multiplicities(arr, points)
+    mu = L.line_multiplicities(arr)
     assert mu == {1: 3, 2: 2, 3: 2, 4: 2}
 
     arr6 = L.make_daisy(6)
@@ -151,7 +151,7 @@ def test_doubled_daisy_combinatorics():
         {2, 3, 4},
         {2, 5}, {3, 5}, {4, 5},
     ]
-    mu = L.line_multiplicities(arr, points)
+    mu = L.line_multiplicities(arr)
     assert mu == {1: 4, 2: 3, 3: 3, 4: 3, 5: 4}
 
 

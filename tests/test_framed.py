@@ -282,3 +282,20 @@ def test_compose_all_streams_its_factors():
         L.compose_all(factors())
     assert seen == [1, 2, 3, 1, "mismatch"]
     assert L.compose_all(L.inner_boundary_twist(3, k) for k in (1, 2, 3, 1)).framing == (2, 1, 1)
+
+
+def test_label_is_derived_once_and_kept_out_of_equality_and_repr(monkeypatch):
+    calls = []
+    reference = L.framed.twist_label
+
+    def counting(enclosed):
+        calls.append(enclosed)
+        return reference(enclosed)
+
+    monkeypatch.setattr("lanterns.framed.twist_label", counting)
+    descriptor = TwistDescriptor(BraidWord(3), (1, 2), frozenset({1, 2}))
+    assert descriptor.label == descriptor.label == "a12"
+    assert len(calls) == 1
+    fresh = TwistDescriptor(BraidWord(3), (1, 2), frozenset({1, 2}))
+    assert descriptor == fresh and hash(descriptor) == hash(fresh)
+    assert repr(descriptor) == repr(fresh) and "label" not in repr(descriptor)

@@ -50,7 +50,7 @@ def test_worked_intersections(worked):
         (Fraction(4, 3), (1, 3), 2),
         (Fraction(1), (1, 2), 3),
     ]
-    assert L.line_multiplicities(worked, points) == {1: 2, 2: 2, 3: 2}
+    assert L.line_multiplicities(worked) == {1: 2, 2: 2, 3: 2}
 
 
 def test_pencil_is_one_point():
@@ -90,13 +90,13 @@ def test_two_line_profiles():
 def test_order_profiles_with_swapped_ranks_fail_the_geometry_check():
     arr, _ = L.shear_to_generic(random_arrangement(random.Random(5), 6, allow_concurrent=False))
     points = list(L.intersections(arr))
-    assert L.order_profiles(arr, points) == L.order_profiles(arr)
+    assert L.geometry._checked_blocks(arr, points) == L.geometry.fiber_blocks(arr)
     for j in range(len(points) - 1):
         swapped = list(points)
         swapped[j] = replace(points[j + 1], rank=j + 1)
         swapped[j + 1] = replace(points[j], rank=j + 2)
         with pytest.raises(L.InvariantViolation):
-            L.order_profiles(arr, swapped)
+            L.geometry._checked_blocks(arr, swapped)
 
 
 def test_shear_identity_on_generic(worked):
@@ -148,6 +148,57 @@ def test_shear_groups_each_candidate_once(monkeypatch):
     assert sheared == L.validate_arrangement(
         [(4, -4), (Fraction(4, 3), 0), (Fraction(-4, 5), 0), (Fraction(-4, 3), Fraction(4, 3))]
     )
+
+
+def _trial_shear(arr, t):
+    """Reference: build every sheared line, then refuse a vertical line or a changed slope order."""
+    transformed = []
+    for line in arr.lines:
+        denom = 1 - line.slope * t
+        if denom == 0:
+            return None
+        transformed.append(L.Line(line.id, line.slope / denom, line.intercept / denom, line.name))
+    slopes = [line.slope for line in transformed]
+    if any(a <= b for a, b in zip(slopes, slopes[1:])):
+        return None
+    return L.Arrangement(tuple(transformed), arr.source_order)
+
+
+def test_shear_admissibility_closed_form_matches_the_trial_construction():
+    rng = random.Random(21)
+    halvings = [Fraction(1, 2**k) for k in range(1, 11)]
+    pairs = admissible = 0
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        # slopes near the reciprocals 2 .. 1024 of the t's, some exactly on one
+        pool = [Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 7))) for _ in range(n)]
+        pool += [Fraction(2**rng.randint(1, 10)) for _ in range(rng.randint(0, 2))]
+        pool += [
+            Fraction(rng.randint(2, 2048), rng.choice((1, 3))) for _ in range(rng.randint(0, 3))
+        ]
+        slopes = list(dict.fromkeys(pool))
+        arr = L.validate_arrangement([(m, rng.randint(-9, 9)) for m in slopes])
+        for t in halvings:
+            expected = _trial_shear(arr, t)
+            assert L.geometry._admissible_shear(arr, t) == (expected is not None), (slopes, t)
+            if expected is not None:
+                sheared = L.geometry._shear_lines(arr, t)
+                assert sheared == expected and sheared.source_order == expected.source_order
+                admissible += 1
+            pairs += 1
+    assert 0 < admissible < pairs
+
+
+def test_shear_with_every_slope_above_one_over_t():
+    arr = L.validate_arrangement([(7, 0), (5, 2), (4, 0), (3, 2)])
+    with pytest.raises(L.NonGenericX):
+        L.intersections(arr)
+    # every slope exceeds 1/t = 2, so the shear keeps the slope order
+    assert L.geometry._admissible_shear(arr, Fraction(1, 2))
+    sheared, t = L.shear_to_generic(arr)
+    assert t == Fraction(1, 2)
+    assert sheared == _trial_shear(arr, t)
+    assert L.verified_relation(sheared).report.verified
 
 
 def test_pair_count_conservation_random():
@@ -319,14 +370,14 @@ def test_failing_explicit_points_leave_the_kept_results_alone():
     points = L.intersections(arr)
     swapped = [replace(points[1], rank=1), replace(points[0], rank=2), *points[2:]]
     with pytest.raises(L.InvariantViolation):
-        L.order_profiles(arr, swapped)
+        L.geometry._checked_blocks(arr, swapped)
     reference, _ = L.shear_to_generic(L.validate_arrangement(lines))
     expected = [(t.point, t.descriptor) for t in L.braid_monodromy(reference).twists]
     assert [(t.point, t.descriptor) for t in L.braid_monodromy(arr).twists] == expected
     assert L.order_profiles(arr) == L.order_profiles(reference)
     # a failing call after the derivation does not disturb what was kept
     with pytest.raises(L.InvariantViolation):
-        L.order_profiles(arr, swapped)
+        L.geometry._checked_blocks(arr, swapped)
     assert [(t.point, t.descriptor) for t in L.braid_monodromy(arr).twists] == expected
     assert L.verified_relation(arr).report.verified
 

@@ -77,6 +77,33 @@ def test_swapped_factor_json_with_kept_report_is_rejected(worked):
         L.parse_relation(json.dumps(data))
 
 
+def test_flipped_verified_flag_is_rejected(worked):
+    # the stored report is compared entry by entry, "verified" included
+    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data["report"]["verified"] = False
+    with pytest.raises(ValueError, match="stored report"):
+        L.parse_relation(json.dumps(data))
+
+
+def test_failed_report_with_reordered_witness_keys_parses(worked):
+    relation = L.lantern_relation(worked)
+    bad = L.Relation("bad", 3, relation.lhs, (relation.rhs[1], relation.rhs[0], relation.rhs[2]))
+    data = json.loads(L.export_relation(bad.with_report(L.verify_relation(bad)), "json"))
+    data["report"]["witness"] = dict(reversed(data["report"]["witness"].items()))
+    parsed = L.parse_relation(json.dumps(data))
+    assert parsed.report == L.verify_relation(bad) and not parsed.report.verified
+    del data["report"]["witness"]
+    with pytest.raises(ValueError, match="stored report"):
+        L.parse_relation(json.dumps(data))
+
+
+def test_name_must_be_a_json_string(worked):
+    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data["name"] = 5
+    with pytest.raises(ValueError, match="name"):
+        L.parse_relation(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "document",
     [
