@@ -1,11 +1,13 @@
 """Pair orderings: which sequences of crossings can a real arrangement show?
 
 The crossings of a simple arrangement, read by decreasing x, list all line
-pairs exactly once, and pairs sharing a line i must appear as (i,j) before
-(i,k) when j < k.  The converse fails: for any slopes, the crossing of
-lines i and k projects strictly between the crossings (i,j) and (j,k) for
-every middle line j, so some admissible sequences are geometrically
-impossible.  The realizer searches exactly and reports honestly.
+pairs exactly once.  Not every arrangement lists (i,j) before (i,k) when
+j < k: the classical lantern of demo 01 reads ((2,3), (1,3), (1,2)).  The
+realizer targets the admissible sequences, those that do.  Admissible is
+not enough: for any slopes, the crossing of lines i and k projects strictly
+between the crossings (i,j) and (j,k) for every middle line j, so some
+admissible sequences are geometrically impossible.  The realizer searches
+exactly and reports honestly.
 """
 
 import lanterns as L

@@ -7,7 +7,8 @@ Families:
 * pencil: all lines through one point; the relation degenerates to the
   outer twist equalling one interior twist around everything.
 * wajnryb: a fully generic arrangement realizing the lexicographic pair
-  order, built by translating the lines of a pencil one at a time.
+  order: line i of a pencil translated right by (n-i)!/(n-1)! (line n
+  stays), a closed form proved in `realize_wajnryb`.
 * daisy: lines 2..n concurrent, line 1 crossing them to the right of the
   center, rightmost crossing with line 2.
 * doubled daisy: lines 2..n-1 concurrent, line 1 crossing everything to
@@ -17,12 +18,13 @@ A PairOrdering lists the C(n,2) unordered pairs in decreasing order of the
 x-coordinate of the intersection realizing them (rank order).  An ordering
 is admissible when the points of line i against lines j < k keep (i,j)
 before (i,k); `realize_ordering` searches for an arrangement realizing an
-admissible ordering exactly, using exact linear feasibility over the
-intercepts for a handful of slope vectors, and reports `Unrealized` with
-its best partial match when the bounded search runs out.  Admissible does
-not imply realizable: for any slopes, the x-coordinate of points(i,k) is a
-convex combination of those of (i,j) and (j,k) whenever i < j < k, so e.g.
-[(1,2), (2,3), (1,3)] on three lines is admissible but never realizable.
+admissible ordering exactly, deciding the homogeneous strict inequalities
+on the intercepts by Fourier-Motzkin for a handful of slope vectors, and
+reports `Unrealized` with its best partial match when the bounded search
+runs out.  Admissible does not imply realizable: for any slopes, the
+x-coordinate of points(i,k) is a convex combination of those of (i,j) and
+(j,k) whenever i < j < k, so e.g. [(1,2), (2,3), (1,3)] on three lines is
+admissible but never realizable.
 """
 
 from __future__ import annotations
@@ -31,10 +33,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from .geometry import (
     Arrangement,
-    NonGenericX,
+    InvariantViolation,
     intersections,
     validate_arrangement,
 )
@@ -170,94 +173,71 @@ def make_doubled_daisy(n: int) -> Arrangement:
     return validate_arrangement(coefficients)
 
 
-def _wajnryb_step_target(n: int, moved: int) -> list[frozenset[int]]:
-    """Expected rank-ordered line sets after translating lines 1..moved."""
-    target = [
-        frozenset((i, j))
-        for i in range(1, moved + 1)
-        for j in range(i + 1, n + 1)
-    ]
-    if n - moved >= 2:
-        target.append(frozenset(range(moved + 1, n + 1)))
-    return target
-
-
 def realize_wajnryb(n: int) -> Arrangement:
-    """Generic arrangement whose pair order is lexicographic.
+    """Generic arrangement whose pair order is lexicographic, in closed form.
 
-    Starts from a pencil and translates lines in slope order by rapidly
-    decreasing offsets, halving each offset until the new intersections sit
-    strictly left of every previously created one (rechecked globally and
-    exactly after each step).  The offsets can always be shrunk into place,
-    so the search terminates.
+    Line i of the pencil y = m_i*x, m_i = n+1-i, is shifted right by
+    o_i = (n-i)!/(n-1)! for i < n (o_1 = 1), and line n stays put (o_n = 0):
+    y = m_i*(x - o_i), intercept -(n+1-i)!/(n-1)! for i < n and 0 for line n.
+    Lines i < j meet at x_ij = (m_i*o_i - m_j*o_j)/d with d = j-i = m_i-m_j.
+
+    Proof that the rank order is (1,2), ..., (1,n), (2,3), ..., (n-1,n):
+
+    * Within row i (j < n): d(d+1)(x_ij - x_i,j+1)
+      = m_i*o_i - (d+1)*m_j*o_j + d*m_{j+1}*o_{j+1} >= m_i*o_i - (d+1)*m_j*o_j > 0.
+      Every ratio o_{k+1}/o_k = 1/(n-k) before line n is at most 1/2, so
+      (d+1)*o_j <= 2^d*o_j <= o_i, and m_j < m_i.
+    * Between rows (i <= n-2): x_i,n = m_i*o_i/(n-i) > o_i = m_{i+1}*o_{i+1}
+      >= x_{i+1,i+2}.
+
+    So the C(n,2) crossings have strictly decreasing x in lexicographic
+    order; in particular they are distinct double points.
     """
     if n < 3:
         raise ValueError(f"the lexicographic family needs n >= 3 lines, got {n}")
-    slopes = [Fraction(n + 1 - i) for i in range(1, n + 1)]
-    offsets = [Fraction(0)] * n
-
-    def current() -> Arrangement:
-        return validate_arrangement(
-            [(slopes[i], -slopes[i] * offsets[i]) for i in range(n)]
-        )
-
-    def step_ok(moved: int) -> bool:
-        try:
-            points = intersections(current())
-        except NonGenericX:
-            return False
-        realized = [frozenset(p.lines) for p in points]
-        return realized == _wajnryb_step_target(n, moved)
-
-    previous = Fraction(1)
-    for index in range(n - 1):
-        candidate = previous if index == 0 else previous / 2
-        for _ in range(10_000):
-            offsets[index] = candidate
-            if step_ok(index + 1):
-                break
-            candidate /= 2
-        else:
-            raise RuntimeError("offset halving failed to settle; this cannot happen")
-        previous = offsets[index]
-    return current()
+    shifted = [(n + 1 - i, -Fraction(factorial(n + 1 - i), factorial(n - 1))) for i in range(1, n)]
+    return validate_arrangement(shifted + [(1, 0)])
 
 
 # ---------------------------------------------------------------------------
 # exact feasibility search for pair orderings
 
-_Ineq = tuple[tuple[Fraction, ...], Fraction]  # sum(coeff*c) + const > 0
+_Ineq = tuple[Fraction, ...]  # coefficients of a strict sum(coeff*c) > 0
 
 
 def _fm_feasible_point(ineqs: list[_Ineq], nvars: int) -> list[Fraction] | None:
-    """A point satisfying all strict inequalities, or None (Fourier-Motzkin)."""
+    """A point satisfying all strict homogeneous inequalities, or None (Fourier-Motzkin).
+
+    Every row reads sum(coeff*c) > 0 with no constant: eliminating a
+    variable adds positive multiples of two rows, so the rows stay
+    homogeneous.  A row left after the last elimination has only zero
+    coefficients and reads 0 > 0, so the system is feasible exactly when
+    no row survives; the bounds met during back-substitution are sums of
+    coefficients times the values already fixed.
+    """
     stages: list[tuple[int, list[_Ineq]]] = []
     current = ineqs
     for v in range(nvars - 1, -1, -1):
         stages.append((v, current))
-        pos = [q for q in current if q[0][v] > 0]
-        neg = [q for q in current if q[0][v] < 0]
-        new = [q for q in current if q[0][v] == 0]
+        pos = [q for q in current if q[v] > 0]
+        neg = [q for q in current if q[v] < 0]
+        new = [q for q in current if q[v] == 0]
         for p in pos:
             for q in neg:
-                ap, aq = p[0][v], q[0][v]
-                coeffs = tuple(
-                    p[0][k] * (-aq) + q[0][k] * ap for k in range(nvars)
-                )
-                new.append((coeffs, p[1] * (-aq) + q[1] * ap))
+                ap, aq = p[v], q[v]
+                new.append(tuple(p[k] * (-aq) + q[k] * ap for k in range(nvars)))
         current = new
-    if any(const <= 0 for _, const in current):
+    if current:
         return None
     values = [Fraction(0)] * nvars
     for v, stage in reversed(stages):
         lower: Fraction | None = None
         upper: Fraction | None = None
-        for coeffs, const in stage:
+        for coeffs in stage:
             a = coeffs[v]
             if a == 0:
                 continue
-            rest = const + sum(coeffs[k] * values[k] for k in range(v))
-            bound = -rest / a
+            bound = -sum(coeffs[k] * values[k] for k in range(v)) / a
             if a > 0:
                 lower = bound if lower is None else max(lower, bound)
             else:
@@ -280,8 +260,7 @@ def _pair_forms(
     for i, j in pairs:
         coeffs = [Fraction(0)] * (n - 1)
         weight = 1 / (slopes[i - 1] - slopes[j - 1])
-        if j >= 2:
-            coeffs[j - 2] += weight
+        coeffs[j - 2] += weight
         if i >= 2:
             coeffs[i - 2] -= weight
         forms[(i, j)] = tuple(coeffs)
@@ -292,15 +271,9 @@ def _chain_inequalities(
     forms: dict[tuple[int, int], tuple[Fraction, ...]],
     chain: list[tuple[int, int]],
     below: list[tuple[int, int]],
-    nvars: int,
 ) -> list[_Ineq]:
-    ineqs: list[_Ineq] = []
-    for u, v in zip(chain, chain[1:]):
-        coeffs = tuple(a - b for a, b in zip(forms[u], forms[v]))
-        ineqs.append((coeffs, Fraction(0)))
-    for q in below:
-        coeffs = tuple(a - b for a, b in zip(forms[chain[-1]], forms[q]))
-        ineqs.append((coeffs, Fraction(0)))
+    ineqs = [tuple(a - b for a, b in zip(forms[u], forms[v])) for u, v in zip(chain, chain[1:])]
+    ineqs += [tuple(a - b for a, b in zip(forms[chain[-1]], forms[q])) for q in below]
     return ineqs
 
 
@@ -338,13 +311,18 @@ def realize_ordering(ordering: PairOrdering) -> Arrangement | Unrealized:
     best: tuple[int, Arrangement | None] = (0, None)
     for slopes in _slope_candidates(n):
         forms = _pair_forms(slopes, target)
-        ineqs = _chain_inequalities(forms, target, [], n - 1)
+        ineqs = _chain_inequalities(forms, target, [])
         values = _fm_feasible_point(ineqs, n - 1)
         if values is not None:
             arr = _arrangement_from_intercepts(slopes, values)
-            realized = extract_pair_ordering(arr)
-            if realized.pairs != ordering.pairs:
-                continue  # cannot happen: the inequalities pin the full order
+            realized = extract_pair_ordering(arr).pairs
+            if realized != ordering.pairs:
+                # The inequalities pin the full order, so only a solver bug gets here.
+                k = next(k for k, (a, b) in enumerate(zip(realized, target)) if a != b)
+                raise InvariantViolation(
+                    f"slopes {[str(m) for m in slopes]}: the Fourier-Motzkin point realizes "
+                    f"{realized[k]} at position {k}, where the target has {target[k]}"
+                )
             if not verified_relation(arr).report.verified:
                 raise RuntimeError("realized arrangement failed verification")
             return arr
@@ -356,9 +334,7 @@ def realize_ordering(ordering: PairOrdering) -> Arrangement | Unrealized:
         point = None
         while lo <= hi:
             mid = (lo + hi) // 2
-            ineqs = _chain_inequalities(
-                forms, target[:mid], target[mid:], n - 1
-            )
+            ineqs = _chain_inequalities(forms, target[:mid], target[mid:])
             candidate_point = _fm_feasible_point(ineqs, n - 1)
             if candidate_point is not None:
                 best_here, point = mid, candidate_point
@@ -373,7 +349,7 @@ def realize_ordering(ordering: PairOrdering) -> Arrangement | Unrealized:
     if candidate is not None:
         try:
             realized = extract_pair_ordering(candidate)
-        except (ValueError, NonGenericX):
+        except ValueError:
             realized = None
     return Unrealized(
         ordering=ordering,

@@ -10,9 +10,10 @@ Everything here is exact: coefficients are `fractions.Fraction`, equality
 tests are decidable, and identical input produces bit-identical output.  No
 float is ever consulted.  The kernels run on integers: points are grouped
 by integer keys over the common denominator of all coefficients, ranked on
-the integer floor(2^64 * x) with exact comparisons only where those keys
-tie, and every fiber order is checked against integer heights at integer
-sample pairs (p, q) standing for x = p/q.
+the integer floor(2^B * x), B twice the bit length of the largest
+denominator of a point's x (a key no two distinct x's share), and every
+fiber order is checked against integer heights at integer sample pairs
+(p, q) standing for x = p/q.
 
 Intersection points are ranked by strictly decreasing x-coordinate.  Two
 distinct points sharing an x-coordinate violate the genericity the ranking
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, groupby
+from itertools import combinations
 from math import gcd, lcm
 from operator import gt, itemgetter
 from typing import Iterable, Sequence
@@ -41,9 +42,6 @@ Rational = Fraction
 # Accepted spellings of an exact rational input value.  Floats are rejected
 # on purpose: they smuggle binary rounding into an exact pipeline.
 RationalLike = Fraction | int | str
-
-# Points are ranked on floor(2^_RANK_BITS * x); only equal keys are compared exactly.
-_RANK_BITS = 64
 
 
 class DuplicateSlope(ValueError):
@@ -246,12 +244,11 @@ def _grouping(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set[int
 def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
     """All intersection points, grouped exactly and ranked by decreasing x.
 
-    Points are ranked on the integer key floor(2^64 * x), which is monotone
-    in x; only points whose keys tie (x's less than 2^-64 apart) are
-    compared exactly, as `Fraction`s, and no float is consulted.  The
-    result is computed once per arrangement object and kept on it (the
-    grouping it was read from is then dropped).  Raises `NonGenericX` when
-    two distinct points share an x-coordinate.
+    Points are ranked on an integer key that is strictly monotone in x (see
+    `_ranked_points`), and no float is consulted.  The result is computed
+    once per arrangement object and kept on it (the grouping it was read
+    from is then dropped).  Raises `NonGenericX` when two distinct points
+    share an x-coordinate.
     """
     if arr.n < 2:
         raise ValueError("intersections need at least two lines")
@@ -265,23 +262,23 @@ def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
 def _ranked_points(
     arr: Arrangement, scale: int, groups: dict[tuple[int, int, int], set[int]]
 ) -> tuple[IntersectionPoint, ...]:
-    """The grouped points ranked by decreasing x = p/q, checked for genericity and pair count."""
+    """The grouped points ranked by decreasing x = p/q, checked for genericity and pair count.
+
+    One sort on the key floor(2^B * p/q), B = 2 * bit_length(max q).  The
+    key is monotone in x, and injective on distinct x's: p1/q1 != p2/q2
+    differ by at least 1/(q1*q2) >= 1/max(q)^2 > 2^-B, so their keys
+    differ.  Equal keys therefore mean equal x, and two distinct points
+    with equal keys are adjacent after the sort.
+    """
+    bits = 2 * max(q for _, q, _ in groups).bit_length()
     located = sorted(
-        (((p << _RANK_BITS) // q, p, q, h, members) for (p, q, h), members in groups.items()),
+        (((p << bits) // q, p, q, h, members) for (p, q, h), members in groups.items()),
         key=itemgetter(0),
         reverse=True,
     )
-    keys = [entry[0] for entry in located]
-    if len(set(keys)) < len(keys):
-        # Equal keys hold x's less than 2^-64 apart: rank those exactly.
-        located = [
-            entry
-            for _, tied in groupby(located, key=itemgetter(0))
-            for entry in sorted(tied, key=lambda e: Fraction(e[1], e[2]), reverse=True)
-        ]
-        for first, second in zip(located, located[1:]):
-            if first[1:3] == second[1:3]:
-                raise NonGenericX(_located(scale, first), _located(scale, second))
+    for first, second in zip(located, located[1:]):
+        if first[0] == second[0]:
+            raise NonGenericX(_located(scale, first), _located(scale, second))
     points = tuple(
         IntersectionPoint(*_located(scale, entry), rank)
         for rank, entry in enumerate(located, start=1)

@@ -202,6 +202,15 @@ def _pair(values: Any, field: str) -> tuple[int, int]:
     return pair
 
 
+def _lhs(pairs: Any, n: int) -> tuple[tuple[int, int], ...]:
+    """The (boundary id, exponent) pairs; a boundary id names d0..dn or the document is refused."""
+    lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(pairs))
+    for i, (boundary_id, _) in enumerate(lhs):
+        if not 0 <= boundary_id <= n:
+            raise ValueError(f"lhs[{i}] names boundary {boundary_id}, outside 0..{n}")
+    return lhs
+
+
 def _element_from_dict(data: dict[str, Any], n: int) -> FramedElement:
     return FramedElement(BraidWord(n, tuple(data["braid"])), _ints(data["framing"], "framing"))
 
@@ -351,7 +360,7 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
         relation = Relation(
             name=name,
             n=n,
-            lhs=tuple(_pair(pair, "lhs pair") for pair in data["lhs"]),
+            lhs=_lhs(data["lhs"], n),
             rhs=tuple(_descriptors(data["rhs"], n)),
         )
         if schema == JSON_SCHEMA_V1:

@@ -1,8 +1,12 @@
 """Families, pair orderings, and the structure checkers."""
 
+from fractions import Fraction
+from math import factorial
+
 import pytest
 
 import lanterns as L
+import lanterns.families as families
 
 
 def test_validate_ordering_examples():
@@ -32,6 +36,16 @@ def test_realize_wajnryb_family():
         relation = L.lantern_relation(arr)
         assert relation.lhs == ((0, 1),) + tuple((k, n - 2) for k in range(1, n + 1))
         assert L.verify_relation(relation).verified
+
+
+def test_realize_wajnryb_is_the_closed_form():
+    for n in range(3, 41):
+        arr = L.realize_wajnryb(n)
+        assert [line.slope for line in arr.lines] == list(range(n, 0, -1))
+        expected = [-Fraction(factorial(n + 1 - i), factorial(n - 1)) for i in range(1, n)]
+        assert [line.intercept for line in arr.lines] == expected + [0]
+        lex = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        assert L.extract_pair_ordering(arr).pairs == lex
 
 
 def test_realize_wajnryb_range():
@@ -85,6 +99,44 @@ def test_realize_ordering_honest_unrealized():
     assert result.realized.pairs[0] == ordering.pairs[0]
     assert result.first_mismatch == 1
     assert "prefix" in result.message
+
+
+def _lex(n):
+    return tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+
+
+def _column(n):
+    return tuple(sorted(_lex(n), key=lambda p: (p[1], p[0])))
+
+
+def test_realize_ordering_outputs_are_pinned():
+    arr = L.realize_ordering(L.PairOrdering(4, _column(4)))
+    coefficients = [(line.slope, line.intercept) for line in arr.lines]
+    assert coefficients == [(4, 0), (3, 0), (2, -1), (1, -4)]
+
+    bad = ((1, 2), (2, 3), (1, 3)) + tuple(p for p in _lex(4) if p[1] > 3)
+    result = L.realize_ordering(L.PairOrdering(4, bad))
+    assert isinstance(result, L.Unrealized)
+    assert result.first_mismatch == 1
+    candidate = [(line.slope, line.intercept) for line in result.candidate.lines]
+    assert candidate == [(4, 0), (3, 0), (2, -1), (1, -2)]
+    assert result.realized is None  # lines 2, 3 and 4 meet at x = -1
+
+
+def test_realize_ordering_refuses_a_point_that_misses_the_target(monkeypatch):
+    lex = L.realize_ordering(L.PairOrdering(4, _lex(4)))
+    lex_point = [line.intercept for line in lex.lines[1:]]
+    solve = families._fm_feasible_point
+    calls = []
+
+    def first_call_returns_the_lex_point(ineqs, nvars):
+        calls.append(nvars)
+        return list(lex_point) if len(calls) == 1 else solve(ineqs, nvars)
+
+    monkeypatch.setattr(families, "_fm_feasible_point", first_call_returns_the_lex_point)
+    with pytest.raises(L.InvariantViolation, match=r"slopes \['4', '3', '2', '1'\].*position 2"):
+        L.realize_ordering(L.PairOrdering(4, _column(4)))
+    assert len(calls) == 1
 
 
 def test_make_daisy_combinatorics():

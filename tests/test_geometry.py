@@ -70,6 +70,23 @@ def test_non_generic_x_detected():
     assert err.value.first[2] != err.value.second[2]
 
 
+def test_rank_keys_separate_x_below_two_to_the_minus_64():
+    q = 2**65 + 1
+    x0, x1 = Fraction(1, q), Fraction(1, q + 1)  # 0 < x0 - x1 < 2^-130
+
+    def lines(x):
+        # lines 1, 4 meet at (x0, 0); lines 2, 3 meet at (x, 1)
+        return [(4, -4 * x0), (3, 1 - 3 * x), (2, 1 - 2 * x), (1, -x0)]
+
+    ranked = L.intersections(L.validate_arrangement(lines(x1)))
+    assert [(p.lines, p.x) for p in ranked[2:4]] == [((1, 4), x0), ((2, 3), x1)]
+
+    with pytest.raises(L.NonGenericX) as err:
+        L.intersections(L.validate_arrangement(lines(x0)))
+    named = {err.value.first, err.value.second}
+    assert named == {(x0, 0, (1, 4)), (x0, 1, (2, 3))}
+
+
 def test_worked_order_profiles(worked):
     profiles = L.order_profiles(worked)
     assert [p.order for p in profiles] == [(1, 2, 3), (1, 3, 2), (3, 1, 2), (3, 2, 1)]

@@ -104,6 +104,17 @@ def test_name_must_be_a_json_string(worked):
         L.parse_relation(json.dumps(data))
 
 
+@pytest.mark.parametrize("boundary_id", [7, 4, -1])
+def test_lhs_boundary_ids_must_name_d0_to_dn(worked, boundary_id):
+    data = json.loads(L.export_relation(L.lantern_relation(worked), "json"))
+    data["lhs"][1] = [boundary_id, 1]
+    with pytest.raises(ValueError, match=r"lhs\[1\]"):
+        L.parse_relation(json.dumps(data))
+    data["lhs"] = [[boundary_id, 1]]
+    with pytest.raises(ValueError, match=r"lhs\[0\]"):
+        L.parse_relation(json.dumps(data))
+
+
 @pytest.mark.parametrize(
     "document",
     [
