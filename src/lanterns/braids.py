@@ -288,7 +288,7 @@ def inverse_letters(word: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(neg, reversed(word)))
 
 
-def _product(*words: FreeWord) -> FreeWord:
+def reduced_product(*words: FreeWord) -> FreeWord:
     """Product of freely reduced words, reduced by cancelling at the junctions."""
     out = words[0]
     for word in words[1:]:
@@ -322,11 +322,11 @@ def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
         i = abs(letter) - 1
         left, right = images[i], images[i + 1]
         if letter > 0:
-            images[i] = _product(left, right, inverse_letters(left))
+            images[i] = reduced_product(left, right, inverse_letters(left))
             images[i + 1] = left
         else:
             images[i] = right
-            images[i + 1] = _product(inverse_letters(right), left, right)
+            images[i + 1] = reduced_product(inverse_letters(right), left, right)
     return tuple(images)
 
 

@@ -116,11 +116,24 @@ def extract_pair_ordering(arr: Arrangement) -> PairOrdering:
 # constructors
 
 
+# Slopes are drawn as a/b with |a| <= 24 and 1 <= b <= 5: 169 distinct values.
+RANDOM_SLOPES = 169
+
+
 def random_arrangement(
     rng: random.Random, n: int, allow_concurrent: bool = True
 ) -> Arrangement:
     """Seeded random arrangement; occasionally routes three lines through
-    one point to exercise the multiple-point path."""
+    one point to exercise the multiple-point path.
+
+    Its slopes take one of `RANDOM_SLOPES` values, so n above that raises
+    `ValueError` (the draw could never find n distinct slopes).
+    """
+    if n > RANDOM_SLOPES:
+        raise ValueError(
+            f"random_arrangement draws from {RANDOM_SLOPES} distinct slopes, so n <= "
+            f"{RANDOM_SLOPES}; got n = {n}"
+        )
     slopes: set[Fraction] = set()
     while len(slopes) < n:
         slopes.add(Fraction(rng.randint(-24, 24), rng.randint(1, 5)))

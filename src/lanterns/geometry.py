@@ -26,7 +26,10 @@ so they are derived and checked once per arrangement object and kept in
 its `__dict__`, outside equality, hashing and repr: `intersections`,
 `fiber_blocks`, `order_profiles`, `line_multiplicities` and
 `shear_to_generic` on an arrangement that another stage already processed
-read what that stage kept.
+read what that stage kept.  The kept results are `_groups` (the grouping,
+dropped once the points are ranked), `_points`, `_blocks`, and
+`monodromy.braid_monodromy`'s `_twists`, the descriptors it builds from
+the points and blocks.
 """
 
 from __future__ import annotations

@@ -42,13 +42,21 @@ oracle in `verify_relation` (which lives in `relation`, so a parsed report
 can be re-checked there, and is re-exported here).
 
 `total_monodromy` is the relation's right side with each loop's inner
-twists divided out (from a relation the caller passes, or one it builds).  Inner twists carry the empty braid, so they leave the
-right side's word unchanged and only subtract, from each line's framing,
-the number of points on it: mu_L, the line's left exponent plus one.
+twists divided out (from a relation the caller passes, or one it
+builds).  Inner twists carry the empty braid, so they leave the right
+side's word unchanged and only subtract, from each line's framing, the
+number of points on it: mu_L, the line's left exponent plus one.
 
 `lantern_relation` only reads the factor lists off the combinatorics (the
 exponents mu_L - 1 and the descriptors in temporal order); `Relation`
-derives both words from them when `verify_relation` first needs them.
+derives the right side's word from them when `verify_relation` first
+needs it, and the left side is never spelled there (it is central, see
+`relation.verify_relation`).
+
+The monodromy is derived once per arrangement object: `braid_monodromy`
+keeps its twists in the arrangement's `__dict__`, as `geometry` keeps the
+ranked points and checked blocks, so `verified_relation` and a later
+`total_monodromy` on the same arrangement share one set of descriptors.
 """
 
 from __future__ import annotations
@@ -113,13 +121,22 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     chain that holds the previous conjugator rather than its letters, so
     the descriptors share O(n^2) letters in all, each permutation is
     composed in O(n), and the check never re-reads the shared letters.
+
+    The twists are a pure function of the immutable arrangement, so they
+    are built once per arrangement object and kept in its `__dict__` next
+    to its points and blocks; a later call (`total_monodromy` after
+    `verified_relation`, say) wraps the same descriptors.  The twists hold
+    no reference to the arrangement, so keeping them makes no cycle.
     """
-    beta = BraidWord(arr.n)
-    twists: list[PointTwist] = []
-    for point, block in zip(intersections(arr), fiber_blocks(arr)):
-        twists.append(PointTwist(point, TwistDescriptor(beta, block, frozenset(point.lines))))
-        beta = beta * half_twist_block(arr.n, *block)
-    return MonodromyData(arr, tuple(twists))
+    twists = arr.__dict__.get("_twists")
+    if twists is None:
+        beta = BraidWord(arr.n)
+        built: list[PointTwist] = []
+        for point, block in zip(intersections(arr), fiber_blocks(arr)):
+            built.append(PointTwist(point, TwistDescriptor(beta, block, frozenset(point.lines))))
+            beta = beta * half_twist_block(arr.n, *block)
+        twists = arr.__dict__["_twists"] = tuple(built)
+    return MonodromyData(arr, twists)
 
 
 def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:

@@ -15,6 +15,14 @@ from them, never stored, so no stored word can disagree with the factors.
 Labels are derived too, from each twist's enclosed lines; a document whose
 stored label disagrees is refused.
 
+Verification evaluates one word.  The left side is a product of boundary
+twists, whose braid is a power of the full twist: that is central in B_n
+and acts on the free group as conjugation by the boundary word, so
+`verify_relation` writes the left images down in closed form
+(`full_twist_images`) and runs the Artin oracle over the right side alone,
+which still decides.  No verification path builds `lhs_element`; it stays
+a derived property for callers.
+
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
 (schema `lantern-relation/3`, lossless; `parse_relation` inverts it
 exactly, and still reads schemas 1 and 2, checking a v1 document's stored
@@ -45,13 +53,12 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Callable
 
-from .braids import BraidWord, FreeWord, artin_image, divergent_tails
+from .braids import BraidWord, FreeWord, artin_image, divergent_tails, reduced_product
 from .framed import (
     FramedElement,
     TwistDescriptor,
     boundary_label,
     compose_all,
-    elements_equal,
     inner_boundary_twist,
     outer_boundary_twist,
     twist_product,
@@ -96,7 +103,8 @@ class Relation:
     outer boundary; `rhs` lists twist descriptors in temporal order (first
     acts first); `report` is attached once verification ran.  The
     assembled framed elements `lhs_element` and `rhs_element` are derived
-    from the factor lists on first access.
+    from the factor lists on first access; verification reads only
+    `rhs_element` (the left side is in closed form, see `verify_relation`).
     """
 
     name: str
@@ -128,6 +136,37 @@ class Relation:
         return attached
 
 
+def _lhs_framing(lhs: tuple[tuple[int, int], ...], n: int) -> tuple[int, tuple[int, ...]]:
+    """e, the sum of d0's exponents, and each line's left framing.
+
+    A boundary id outside 0..n raises `ValueError` naming `lhs[i]`; a
+    negative id is refused, not read from the end of the framing.
+    """
+    e = 0
+    own = [0] * n
+    for i, (boundary_id, exponent) in enumerate(lhs):
+        if boundary_id == 0:
+            e += exponent
+        elif 1 <= boundary_id <= n:
+            own[boundary_id - 1] += exponent
+        else:
+            raise ValueError(f"lhs[{i}] names boundary {boundary_id}, outside 0..{n}")
+    return e, tuple(e + k for k in own)
+
+
+def full_twist_images(n: int, e: int) -> tuple[FreeWord, ...]:
+    """Artin images of x_1 .. x_n under the e-th power of the full twist on n strands.
+
+    x_j goes to c^e x_j c^-e with c = x_1 ... x_n, spelled as P x_j P^-1
+    for the positive word P = (1 .. n)^e, or (-n .. -1)^|e| when e < 0,
+    and reduced at its two junctions: O(n^2 |e|) letters, no braid built.
+    The proof is in `verify_relation`.
+    """
+    up, down = tuple(range(1, n + 1)), tuple(range(-n, 0))
+    power, inverse = (up * e, down * e) if e >= 0 else (down * -e, up * -e)
+    return tuple(reduced_product(power, (j,), inverse) for j in range(1, n + 1))
+
+
 def verify_relation(relation: Relation) -> VerificationReport:
     """Decide the relation exactly; failure is a report, not an exception.
 
@@ -136,10 +175,35 @@ def verify_relation(relation: Relation) -> VerificationReport:
     full twist and the product of conjugated block twists.  On braid
     failure the report carries the first free-group generator whose images
     differ, with both image words.
+
+    The right side is evaluated letter by letter by the Artin oracle; the
+    left side is read off `relation.lhs` in closed form:
+
+    * Framings.  Every factor is pure, so framings add componentwise: each
+      d0 adds 1 to every line and each d_L adds 1 to line L alone.  Line
+      L's framing is e, the sum of d0's exponents, plus L's own exponents.
+    * Braid.  Inner twists carry the empty braid, so the braid is
+      Delta^(2e).  Let delta = sigma_1 ... sigma_{n-1}.  Under the pinned
+      convention (`braids`, the automorphism of the first letter applies
+      first) delta sends x_1 to (x_1 ... x_{n-1}) x_n (x_1 ... x_{n-1})^-1
+      = c x_n c^-1 and x_{j+1} to x_j, and it fixes c = x_1 ... x_n.  An
+      automorphism fixing c commutes with conjugation by c, so delta^n
+      takes x_j down to x_1 in j - 1 steps, to c x_n c^-1 in one more and
+      to c x_j c^-1 in the last n - j: delta^n acts as conjugation by c,
+      c on the left.  Delta^2 = delta^n in B_n (Garside; Kassel & Turaev,
+      *Braid Groups*, ch. 1), the generator of the centre for n >= 3, so
+      Delta^(2e) acts as conjugation by c^e.  The reduced spelling is
+      unique, so these are the images `artin_image` computes from the
+      word, letter for letter; `full_twist_images` was checked against it
+      for n = 1..40 and e = -2..2, and a test keeps that check.
+
+    Witnesses and reports are therefore those of evaluating both words.  A
+    boundary id outside 0..n raises `ValueError`, as `lhs_element` does.
     """
-    lhs, rhs = relation.lhs_element, relation.rhs_element
-    framing_ok = lhs.framing == rhs.framing
-    lhs_images = artin_image(lhs.braid)
+    e, lhs_framing = _lhs_framing(relation.lhs, relation.n)
+    rhs = relation.rhs_element
+    framing_ok = lhs_framing == rhs.framing
+    lhs_images = full_twist_images(relation.n, e)
     rhs_images = artin_image(rhs.braid)
     braid_ok = lhs_images == rhs_images
     witness = None
@@ -295,14 +359,24 @@ def _check_v1_sides(data: dict[str, Any], relation: Relation) -> None:
 
     The words are compared in the group, not letter by letter: exports
     written before products were freely reduced spell the same elements
-    with longer words.
+    with longer words.  A stored word equals a side when its framing and
+    its Artin images do; the left side's images are the closed form
+    `verify_relation` uses.
     """
+    n = relation.n
+    e, lhs_framing = _lhs_framing(relation.lhs, n)
+    rhs = relation.rhs_element
+    sides = {
+        "lhs": (lhs_framing, full_twist_images(n, e)),
+        "rhs": (rhs.framing, artin_image(rhs.braid)),
+    }
     report = data.get("report") or {}
-    for side, derived in (("lhs", relation.lhs_element), ("rhs", relation.rhs_element)):
+    for side, (framing, images) in sides.items():
         stored = data[f"{side}_element"]
         copy = report.get(side, stored)  # a report repeated each side's word
         for entry in (stored,) if copy == stored else (stored, copy):
-            if not elements_equal(_element_from_dict(entry, relation.n), derived):
+            element = _element_from_dict(entry, n)
+            if element.framing != framing or artin_image(element.braid) != images:
                 raise ValueError(f"stored {side} word is not the product of its factors")
 
 

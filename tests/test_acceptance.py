@@ -306,7 +306,7 @@ def test_criterion_13_scale_n120_in_bounded_memory():
     assert result["verified"] and result["total_ok"] and result["round_trip"]
     assert result["export_bytes"] < 2_000_000
     assert peak_mb < 60
-    assert elapsed < 10.0
+    assert elapsed < 6.0
     print(
         f"criterion 13 PASS: n = 120 (6784 points), shear, verify, total monodromy and "
         f"round trip in {elapsed:.2f}s, export {result['export_bytes'] / 1e6:.2f} MB, "

@@ -198,3 +198,27 @@ def test_total_monodromy_reuses_a_given_relation(monkeypatch):
         assert L.total_monodromy(arr, relation=relation) == total
     with pytest.raises(ValueError):
         L.total_monodromy(L.make_pencil(3), pairs[-1][1])
+
+
+def test_total_monodromy_reuses_the_kept_monodromy(monkeypatch):
+    rng = random.Random(35)
+    arrangements = [
+        L.shear_to_generic(random_arrangement(rng, rng.randint(3, 7)))[0] for _ in range(10)
+    ]
+    arrangements += [L.make_daisy(5), L.make_doubled_daisy(6)]
+    relations = [L.verified_relation(arr) for arr in arrangements]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return half_twist_block(*args)
+
+    monkeypatch.setattr("lanterns.monodromy.half_twist_block", counting)
+    for arr, relation in zip(arrangements, relations):
+        total = L.total_monodromy(arr)
+        assert total.framing == (0,) * arr.n
+        assert total.braid == relation.rhs_element.braid
+        assert L.braid_monodromy(arr).twists[0].descriptor is relation.rhs[-1]
+    assert calls == []
+    fresh = L.validate_arrangement([(2, 0), (1, 1), (-1, 4)])
+    assert L.total_monodromy(fresh).framing == (0, 0, 0) and len(calls) == 3

@@ -2,11 +2,13 @@
 
 import json
 import random
+import time
 
 import pytest
 
 import lanterns as L
-from lanterns.braids import BraidWord
+from lanterns.braids import BraidWord, artin_image
+from lanterns.relation import full_twist_images
 from conftest import random_arrangement, random_braid
 
 
@@ -423,3 +425,124 @@ def test_long_chain_compares_and_spells_without_recursion():
     assert first == BraidWord(n, spelled) == second
     assert first.letters == spelled and second.letters == spelled
     assert first != second * BraidWord(n, (1,)) and first != BraidWord(n, spelled[:-1] + (-spelled[-1],))
+
+
+def test_left_images_are_the_closed_form():
+    for n in range(1, 41):
+        for e in range(-2, 3):
+            word = L.compose_all([L.outer_boundary_twist(n) ** e]).braid
+            assert full_twist_images(n, e) == artin_image(word), (n, e)
+
+
+@pytest.mark.parametrize(
+    "lhs",
+    [
+        ((0, 1), (0, 1)),
+        ((0, 2), (3, 1), (0, -3), (1, 4)),
+        ((1, -1), (0, -1), (2, 2), (0, 1), (0, 1)),
+        ((4, 3), (4, -3)),
+    ],
+)
+def test_several_outer_factors_sum_into_one_power(lhs):
+    relation = L.Relation("sums", 4, lhs, ())
+    e = sum(exponent for boundary_id, exponent in lhs if boundary_id == 0)
+    assert full_twist_images(4, e) == artin_image(relation.lhs_element.braid)
+    framing = tuple(e + sum(k for b, k in lhs if b == line) for line in range(1, 5))
+    assert relation.lhs_element.framing == framing
+
+
+def _two_evaluation_report(relation):
+    """The report of running the Artin oracle over both sides' words."""
+    lhs, rhs = relation.lhs_element, relation.rhs_element
+    left, right = artin_image(lhs.braid), artin_image(rhs.braid)
+    witness = next(
+        (L.Witness(j, a, b) for j, (a, b) in enumerate(zip(left, right), start=1) if a != b),
+        None,
+    )
+    return L.VerificationReport(left == right, lhs.framing == rhs.framing, witness)
+
+
+def _variants(relation):
+    """The relation, and copies with swapped, flipped-exponent and dropped factors."""
+    rhs, lhs = relation.rhs, relation.lhs
+    yield relation
+    for i in range(len(rhs) - 1):
+        swapped = rhs[:i] + (rhs[i + 1], rhs[i]) + rhs[i + 2 :]
+        yield L.Relation("swapped", relation.n, lhs, swapped)
+    for i, (boundary_id, exponent) in enumerate(lhs):
+        flipped = lhs[:i] + ((boundary_id, -exponent if exponent else 1),) + lhs[i + 1 :]
+        yield L.Relation("flipped", relation.n, flipped, rhs)
+    for i in range(len(rhs)):
+        yield L.Relation("dropped", relation.n, lhs, rhs[:i] + rhs[i + 1 :])
+    yield L.Relation("several d0", relation.n, ((0, 2), (0, -1)) + lhs[1:], rhs)
+
+
+def test_one_evaluation_reports_equal_two():
+    rng = random.Random(38)
+    arrangements = [L.validate_arrangement([(2, 0), (1, 1), (-1, 4)]), L.make_pencil(4)]
+    arrangements += [L.make_daisy(5), L.make_doubled_daisy(6)]
+    arrangements += [
+        L.shear_to_generic(random_arrangement(rng, rng.randint(2, 6)))[0] for _ in range(6)
+    ]
+    outcomes = set()
+    for arr in arrangements:
+        for relation in _variants(L.lantern_relation(arr)):
+            report = L.verify_relation(relation)
+            assert report == _two_evaluation_report(relation), relation
+            export = L.export_relation(relation.with_report(report), "json")
+            assert export == L.export_relation(
+                relation.with_report(_two_evaluation_report(relation)), "json"
+            )
+            outcomes.add((report.braid_ok, report.framing_ok))
+    assert outcomes == {(True, True), (False, True), (True, False), (False, False)}
+
+
+def test_convention_flips_fail_against_the_closed_form(worked):
+    """Criterion 8's three flipped right sides differ from the closed-form left side."""
+    relation = L.lantern_relation(worked)
+    left = ((2, 2, 2), full_twist_images(3, 1))
+    beta, flipped = BraidWord(3), []
+    for twist in L.braid_monodromy(worked).twists:
+        flipped.append(L.TwistDescriptor(beta, twist.descriptor.block, twist.descriptor.enclosed))
+        beta = beta * L.half_twist_block(3, *twist.descriptor.block).inverse()
+    sign = L.Relation("sign", 3, relation.lhs, tuple(reversed(flipped)))
+    order = L.Relation("order", 3, relation.lhs, tuple(reversed(relation.rhs)))
+    for bad in (sign, order):
+        assert not L.verify_relation(bad).braid_ok
+    zero = L.compose_all(
+        [L.FramedElement(L.conjugated_twist(d).braid, (0, 0, 0)) for d in relation.rhs], n=3
+    )
+    assert (zero.framing, artin_image(zero.braid)) != left
+    assert L.verify_relation(relation).verified
+
+
+def test_verification_leaves_the_left_word_unbuilt(worked):
+    relation = L.verified_relation(worked)
+    assert "lhs_element" not in relation.__dict__
+    parsed = L.parse_relation(L.export_relation(relation, "json"))
+    assert "lhs_element" not in parsed.__dict__
+    assert relation.lhs_element.framing == (2, 2, 2)  # still derived on request
+
+
+@pytest.mark.parametrize("lhs", [((-1, 1),), ((0, 1), (4, 1)), ((0, 1), (-3, 2))])
+def test_relation_lhs_ids_outside_0_to_n_raise(worked, lhs):
+    relation = L.Relation("bad ids", 3, lhs, L.lantern_relation(worked).rhs)
+    with pytest.raises(ValueError, match="outside"):
+        L.verify_relation(relation)
+    with pytest.raises(ValueError):
+        relation.lhs_element
+
+
+def test_hostile_outer_exponent_is_refused_quickly(worked):
+    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data["lhs"] = [[0, 100_000]]
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="stored report"):
+        L.parse_relation(json.dumps(data))
+    assert time.perf_counter() - start < 1.0
+    data["report"] = None
+    start = time.perf_counter()
+    report = L.verify_relation(L.parse_relation(json.dumps(data)))
+    assert time.perf_counter() - start < 1.0
+    assert not report.verified and not report.braid_ok and not report.framing_ok
+    assert report.witness.generator == 1 and len(report.witness.lhs_image) == 600_001
