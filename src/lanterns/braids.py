@@ -17,12 +17,12 @@ letter back, so each letter rewrites only the two images it touches; every
 image is kept freely reduced, which makes image equality word equality in
 the free group.
 
-Every word carries its strand permutation, computed once: a product u * v
-composes the permutations of u and v in O(n), an inverse inverts its
-word's, and the block twists know theirs in closed form, so only a word
-spelled letter by letter pays a pass over its letters.  A product is a
-link of a prefix chain (u, then v's letters as its tail), so a word that
-extends another shares its letters instead of copying them.  Letters are
+A word's strand order (the strand at each position once the word has
+acted) has one derivation: replay the letters after the nearest chain
+prefix whose order is known, from the identity for a spelled word, and
+cache it on the word; products, inverses and block twists compute none.
+A product is a link of a prefix chain (u, then v's letters as its tail),
+so a word that extends another shares its letters.  Letters are
 validated where they enter a word, with builtins (`min`, `max`, `in` and
 the set of their types) rather than a per-letter loop; products and
 inverses of checked words, and block twists, are valid by construction and
@@ -62,12 +62,13 @@ class BraidWord:
     tail v", holding u itself rather than a copy of its letters.  A chain
     of conjugators beta_{k+1} = beta_k * D_k thus costs the letters of its
     tails, not of every prefix.  `letters` spells a link once, on first
-    access, walking the chain back to the nearest spelled word; equality,
-    hashing and `len` read tails and never spell, and no operation recurses
-    along a chain.  Words are immutable.
+    access, walking back to the nearest spelled word, as `_strand_order`
+    walks back to the nearest link that knows its order; equality, hashing
+    and `len` never spell, nothing recurses along a chain, and words are
+    immutable.
     """
 
-    __slots__ = ("n", "_parent", "_tail", "_length", "_perm", "_letters", "_twin", "__weakref__")
+    __slots__ = ("n", "_parent", "_tail", "_length", "_order", "_letters", "_twin", "__weakref__")
 
     def __init__(self, n: int, letters: Iterable[int] = ()):
         letters = tuple(letters)
@@ -90,7 +91,7 @@ class BraidWord:
                 raise ValueError(
                     f"letter {bad!r} is not a generator index in 1..{n - 1} or its negative"
                 )
-        _init(self, n, None, letters, None)
+        _init(self, n, None, letters)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"BraidWord is immutable: cannot set {name!r}")
@@ -118,19 +119,23 @@ class BraidWord:
         return letters
 
     @property
-    def _permutation(self) -> Permutation:
-        perm = self._perm
-        if perm is None:
-            at = list(range(1, self.n + 1))
-            for letter in self.letters:
-                i = abs(letter)
-                at[i - 1], at[i] = at[i], at[i - 1]
-            result = [0] * self.n
-            for position, strand in enumerate(at, start=1):
-                result[strand - 1] = position
-            perm = tuple(result)
-            _set(self, "_perm", perm)
-        return perm
+    def _strand_order(self) -> tuple[int, ...]:
+        """Entry p-1 is the strand at position p once the word has acted; cached on this word."""
+        order = self._order
+        if order is None:
+            tails = []
+            word = self
+            while word is not None and word._order is None:
+                tails.append(word._tail)
+                word = word._parent
+            at = list(range(1, self.n + 1) if word is None else word._order)
+            for tail in reversed(tails):
+                for letter in tail:
+                    i = abs(letter)
+                    at[i - 1], at[i] = at[i], at[i - 1]
+            order = tuple(at)
+            _set(self, "_order", order)
+        return order
 
     def __mul__(self, other: BraidWord) -> BraidWord:
         if self.n != other.n:
@@ -139,15 +144,10 @@ class BraidWord:
             return self
         if not self._length:
             return other
-        then = (0,) + other._permutation  # 1-based lookup
-        perm = tuple(map(then.__getitem__, self._permutation))
-        return _init(object.__new__(BraidWord), self.n, self, other.letters, perm)
+        return _init(object.__new__(BraidWord), self.n, self, other.letters)
 
     def inverse(self) -> BraidWord:
-        perm = [0] * self.n
-        for strand, position in enumerate(self._permutation, start=1):
-            perm[position - 1] = strand
-        return _known(self.n, inverse_letters(self.letters), tuple(perm))
+        return _known(self.n, inverse_letters(self.letters))
 
     def __pow__(self, exponent: int) -> BraidWord:
         base = self if exponent >= 0 else self.inverse()
@@ -169,31 +169,25 @@ class BraidWord:
 _set = object.__setattr__
 
 
-def _init(
-    word: BraidWord,
-    n: int,
-    parent: BraidWord | None,
-    tail: tuple[int, ...],
-    perm: Permutation | None,
-) -> BraidWord:
+def _init(word: BraidWord, n: int, parent: BraidWord | None, tail: tuple[int, ...]) -> BraidWord:
     """Fill the slots of `word`: `tail` after `parent`, or spelled when there is no parent."""
     _set(word, "n", n)
     _set(word, "_parent", parent)
     _set(word, "_tail", tail)
     _set(word, "_length", len(tail) if parent is None else parent._length + len(tail))
-    _set(word, "_perm", perm)
+    _set(word, "_order", None)
     _set(word, "_letters", tail if parent is None else None)
     _set(word, "_twin", None)
     return word
 
 
-def _known(n: int, letters: tuple[int, ...], perm: Permutation) -> BraidWord:
-    """A word whose letters are valid by construction and whose permutation is known.
+def _known(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """A spelled word whose letters are valid by construction.
 
     Inverses of checked words and the twists of a checked block qualify:
     their letters are not checked a second time.
     """
-    return _init(object.__new__(BraidWord), n, None, letters, perm)
+    return _init(object.__new__(BraidWord), n, None, letters)
 
 
 def _same_letters(u: BraidWord, v: BraidWord) -> bool:
@@ -331,8 +325,11 @@ def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
 
 
 def permutation(word: BraidWord) -> Permutation:
-    """Start-position to end-position permutation of the strands."""
-    return word._permutation
+    """Start-position to end-position permutation of the strands: the inverse of its order."""
+    perm = [0] * word.n
+    for position, strand in enumerate(word._strand_order, start=1):
+        perm[strand - 1] = position
+    return tuple(perm)
 
 
 def exponent_sum(word: BraidWord) -> int:
@@ -341,21 +338,21 @@ def exponent_sum(word: BraidWord) -> int:
 
 
 def is_pure(word: BraidWord) -> bool:
-    """Whether the word's permutation is the identity."""
-    return permutation(word) == tuple(range(1, word.n + 1))
+    """Whether the word leaves every strand at its starting position."""
+    return word._strand_order == tuple(range(1, word.n + 1))
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     """Decide u = v in B_n.
 
-    Cheap invariants (exponent sum, permutation) may answer "unequal";
+    Cheap invariants (exponent sum, strand order) may answer "unequal";
     only the Artin oracle ever answers "equal".
     """
     if u.n != v.n:
         raise StrandCountMismatch(f"{u.n} strands vs {v.n} strands")
     if exponent_sum(u) != exponent_sum(v):
         return False
-    if permutation(u) != permutation(v):
+    if u._strand_order != v._strand_order:
         return False
     return artin_image(u) == artin_image(v)
 
@@ -380,19 +377,17 @@ def _check_block(n: int, a: int, b: int) -> None:
 def half_twist_block(n: int, a: int, b: int) -> BraidWord:
     """The positive half twist of the contiguous strand block a..b.
 
-    Its word is `half_twist_letters(a, b)`; its permutation reverses the
-    block and fixes everything else.  A singleton block gives the empty
-    word.
+    Its word is `half_twist_letters(a, b)`; it reverses the block and
+    fixes everything else.  A singleton block gives the empty word.
     """
     _check_block(n, a, b)
-    perm = tuple(range(1, a)) + tuple(range(b, a - 1, -1)) + tuple(range(b + 1, n + 1))
-    return _known(n, half_twist_letters(a, b), perm)
+    return _known(n, half_twist_letters(a, b))
 
 
 def full_twist_block(n: int, a: int, b: int) -> BraidWord:
     """The full twist of the block a..b: the half twist squared, pure."""
     _check_block(n, a, b)
-    return _known(n, half_twist_letters(a, b) * 2, tuple(range(1, n + 1)))
+    return _known(n, half_twist_letters(a, b) * 2)
 
 
 def boundary_word_image(word: BraidWord) -> FreeWord:

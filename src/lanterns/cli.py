@@ -256,10 +256,13 @@ def main(argv: list[str] | None = None) -> int:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    shear = argparse.ArgumentParser(add_help=False)
+    shear.add_argument("--shear", action="store_true", help="normalize non-generic x-coordinates")
 
-    p_verify = sub.add_parser("verify", help="verify the relation an arrangement carries")
+    p_verify = sub.add_parser(
+        "verify", parents=[shear], help="verify the relation an arrangement carries"
+    )
     p_verify.add_argument("path", help="arrangement file, or a directory with --batch")
-    p_verify.add_argument("--shear", action="store_true", help="normalize non-generic x-coordinates")
     p_verify.add_argument("--json", action="store_true", help="machine-readable output on stdout")
     p_verify.add_argument("--batch", action="store_true", help="verify every .json/.txt file in a directory")
     p_verify.set_defaults(func=cmd_verify)
@@ -270,17 +273,17 @@ def main(argv: list[str] | None = None) -> int:
     p_make.add_argument("-o", "--output", default=None)
     p_make.set_defaults(func=cmd_make)
 
-    p_rel = sub.add_parser("relation", help="emit the relation in text, latex, or json")
+    p_rel = sub.add_parser(
+        "relation", parents=[shear], help="emit the relation in text, latex, or json"
+    )
     p_rel.add_argument("path")
     p_rel.add_argument("--format", choices=("text", "latex", "json"), default="text")
-    p_rel.add_argument("--shear", action="store_true")
     p_rel.add_argument("-o", "--output", default=None)
     p_rel.set_defaults(func=cmd_relation)
 
-    p_plot = sub.add_parser("plot", help="draw the arrangement as a static SVG")
+    p_plot = sub.add_parser("plot", parents=[shear], help="draw the arrangement as a static SVG")
     p_plot.add_argument("path")
     p_plot.add_argument("-o", "--output", required=True)
-    p_plot.add_argument("--shear", action="store_true")
     p_plot.set_defaults(func=cmd_plot)
 
     p_self = sub.add_parser("selftest", help="run seeded randomized property checks")

@@ -86,13 +86,13 @@ class TwistDescriptor:
 
     The curve is the block-enclosing circle on positions a..b pulled back
     through `conjugator`; `enclosed` is the set of line ids the curve
-    separates from the rest, and `label` is read off it.  Consistency (the
-    conjugator's permutation carries the enclosed ids onto positions a..b)
-    is enforced here, keeping the algebra and the curve's advertised line
-    set in lockstep.  The conjugator may be any word; the monodromy and the
-    relation parser build each one as a link extending another's, so
-    descriptors along one chain share their letters and the check reads
-    only the cached permutation.
+    separates from the rest, and `label` is read off it.  Consistency
+    (positions a..b of the conjugator's strand order hold exactly the
+    enclosed ids; for the monodromy's beta_k that order is the fiber order
+    O_{k-1}) is enforced here, keeping the algebra and the curve's line set
+    in lockstep.  The monodromy and the relation parser build each
+    conjugator as a link extending the one checked before it, so each check
+    replays only that link's tail.
     """
 
     conjugator: BraidWord
@@ -114,12 +114,12 @@ class TwistDescriptor:
                 f"block [{a}, {b}] holds {b - a + 1} strands but encloses "
                 f"{len(enclosed)} lines"
             )
-        perm = permutation(self.conjugator)
-        if {perm[line_id - 1] for line_id in enclosed} != set(range(a, b + 1)):
+        order = self.conjugator._strand_order
+        if enclosed != set(order[a - 1 : b]):
+            positions = [p for p, line_id in enumerate(order, start=1) if line_id in enclosed]
             raise InconsistentDescriptor(
                 f"conjugator sends lines {sorted(enclosed)} to positions "
-                f"{sorted(perm[line_id - 1] for line_id in enclosed)}, not onto "
-                f"[{a}, {b}]"
+                f"{positions}, not onto [{a}, {b}]"
             )
 
     @cached_property
@@ -245,8 +245,9 @@ def outer_boundary_twist(n: int) -> FramedElement:
 def conjugated_twist(descriptor: TwistDescriptor) -> FramedElement:
     """Dehn twist about the interior curve a descriptor pins down.
 
-    The braid is conjugator * block full twist * conjugator^{-1}; its
-    permutation is composed from the pieces', so the purity check is O(n).
+    The braid is conjugator * block full twist * conjugator^{-1}, a link
+    of the conjugator's chain, so the purity check replays the full twist
+    and the inverse from the conjugator's order.
     """
     conjugator = descriptor.conjugator
     n = conjugator.n

@@ -115,12 +115,12 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     `fiber_blocks`, derived and checked against the geometry once per
     arrangement object (the lines through each point are contiguous in the
     fiber order, and every order matches the heights); the descriptor
-    consistency (the conjugator really carries the enclosed lines onto the
-    block) is re-checked at construction for every point.  Each conjugator
-    is the previous one times one block half twist, a link of one prefix
-    chain that holds the previous conjugator rather than its letters, so
-    the descriptors share O(n^2) letters in all, each permutation is
-    composed in O(n), and the check never re-reads the shared letters.
+    consistency (beta_k's strand order, the fiber order O_{k-1}, holds the
+    enclosed lines on the block) is re-checked at construction for every
+    point.  Each conjugator is the previous one times one block half
+    twist, a link of one prefix chain that holds the previous conjugator
+    rather than its letters, so the descriptors share O(n^2) letters in
+    all, and each check copies the previous order and replays one tail.
 
     The twists are a pure function of the immutable arrangement, so they
     are built once per arrangement object and kept in its `__dict__` next

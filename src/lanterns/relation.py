@@ -20,8 +20,11 @@ twists, whose braid is a power of the full twist: that is central in B_n
 and acts on the free group as conjugation by the boundary word, so
 `verify_relation` writes the left images down in closed form
 (`full_twist_images`) and runs the Artin oracle over the right side alone,
-which still decides.  No verification path builds `lhs_element`; it stays
-a derived property for callers.
+which still decides.  The relation derives the left side's exponent e and
+framings once, from `lhs`, whose boundary ids it checks when it is built;
+verification, the v1 side check and `lhs_element` all read them.  No
+verification path builds `lhs_element`; it stays a derived property for
+callers.
 
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
 (schema `lantern-relation/3`, lossless; `parse_relation` inverts it
@@ -53,16 +56,15 @@ from functools import cached_property
 from itertools import chain
 from typing import Any, Callable
 
-from .braids import BraidWord, FreeWord, artin_image, divergent_tails, reduced_product
-from .framed import (
-    FramedElement,
-    TwistDescriptor,
-    boundary_label,
-    compose_all,
-    inner_boundary_twist,
-    outer_boundary_twist,
-    twist_product,
+from .braids import (
+    BraidWord,
+    FreeWord,
+    artin_image,
+    divergent_tails,
+    full_twist_block,
+    reduced_product,
 )
+from .framed import FramedElement, TwistDescriptor, boundary_label, twist_product
 
 JSON_SCHEMA = "lantern-relation/3"
 JSON_SCHEMA_V2 = "lantern-relation/2"
@@ -101,10 +103,12 @@ class Relation:
 
     `lhs` lists (boundary id, exponent) pairs, boundary id 0 being the
     outer boundary; `rhs` lists twist descriptors in temporal order (first
-    acts first); `report` is attached once verification ran.  The
-    assembled framed elements `lhs_element` and `rhs_element` are derived
-    from the factor lists on first access; verification reads only
-    `rhs_element` (the left side is in closed form, see `verify_relation`).
+    acts first); `report` is attached once verification ran.  A boundary
+    id outside 0..n raises `ValueError` naming `lhs[i]` when the relation
+    is built.  The left side's exponent and framings and the assembled
+    framed elements `lhs_element` and `rhs_element` are derived from the
+    factor lists on first access; verification reads only `rhs_element`
+    (the left side is in closed form, see `verify_relation`).
     """
 
     name: str
@@ -113,14 +117,38 @@ class Relation:
     rhs: tuple[TwistDescriptor, ...]
     report: VerificationReport | None = None
 
+    def __post_init__(self):
+        for i, (boundary_id, _) in enumerate(self.lhs):
+            if not 0 <= boundary_id <= self.n:
+                raise ValueError(f"lhs[{i}] names boundary {boundary_id}, outside 0..{self.n}")
+
+    @cached_property
+    def _lhs_framing(self) -> tuple[int, tuple[int, ...]]:
+        """e, the sum of d0's exponents, and each line's left framing: e plus its own exponents."""
+        e = 0
+        own = [0] * self.n
+        for boundary_id, exponent in self.lhs:
+            if boundary_id:
+                own[boundary_id - 1] += exponent
+            else:
+                e += exponent
+        return e, tuple(e + k for k in own)
+
     @cached_property
     def lhs_element(self) -> FramedElement:
-        """Outer twist for id 0, inner twists for the rest, each to its exponent."""
-        n = self.n
-        twists = (
-            (inner_boundary_twist(n, b) if b else outer_boundary_twist(n)) ** e for b, e in self.lhs
-        )
-        return compose_all(twists, n=n)
+        """The left side: Delta^(2e) with the framings of `_lhs_framing`.
+
+        Letter for letter this is `compose_all` of the boundary twists
+        (`outer_boundary_twist` for id 0, else `inner_boundary_twist`), each
+        to its exponent:
+
+        * every d0 factor is a power of the positive full-twist word L or of L^-1;
+        * L L^-1 cancels completely under free reduction, so the d0 factors
+          reduce to L^e (to (L^-1)^|e| when e < 0), in which nothing cancels;
+        * inner twists carry the empty braid and add only framing.
+        """
+        e, framing = self._lhs_framing
+        return FramedElement(full_twist_block(self.n, 1, self.n) ** e, framing)
 
     @cached_property
     def rhs_element(self) -> FramedElement:
@@ -128,30 +156,12 @@ class Relation:
         return twist_product(self.rhs, self.n)
 
     def with_report(self, report: VerificationReport) -> Relation:
-        """This relation with `report` attached; side words already derived carry over."""
+        """This relation with `report` attached; sides already derived carry over."""
         attached = replace(self, report=report)
-        for name in ("lhs_element", "rhs_element"):
+        for name in ("_lhs_framing", "lhs_element", "rhs_element"):
             if name in self.__dict__:
                 attached.__dict__[name] = self.__dict__[name]
         return attached
-
-
-def _lhs_framing(lhs: tuple[tuple[int, int], ...], n: int) -> tuple[int, tuple[int, ...]]:
-    """e, the sum of d0's exponents, and each line's left framing.
-
-    A boundary id outside 0..n raises `ValueError` naming `lhs[i]`; a
-    negative id is refused, not read from the end of the framing.
-    """
-    e = 0
-    own = [0] * n
-    for i, (boundary_id, exponent) in enumerate(lhs):
-        if boundary_id == 0:
-            e += exponent
-        elif 1 <= boundary_id <= n:
-            own[boundary_id - 1] += exponent
-        else:
-            raise ValueError(f"lhs[{i}] names boundary {boundary_id}, outside 0..{n}")
-    return e, tuple(e + k for k in own)
 
 
 def full_twist_images(n: int, e: int) -> tuple[FreeWord, ...]:
@@ -177,7 +187,8 @@ def verify_relation(relation: Relation) -> VerificationReport:
     differ, with both image words.
 
     The right side is evaluated letter by letter by the Artin oracle; the
-    left side is read off `relation.lhs` in closed form:
+    left side is in closed form, from the e and framings the relation
+    derives once from `lhs`:
 
     * Framings.  Every factor is pure, so framings add componentwise: each
       d0 adds 1 to every line and each d_L adds 1 to line L alone.  Line
@@ -197,10 +208,9 @@ def verify_relation(relation: Relation) -> VerificationReport:
       word, letter for letter; `full_twist_images` was checked against it
       for n = 1..40 and e = -2..2, and a test keeps that check.
 
-    Witnesses and reports are therefore those of evaluating both words.  A
-    boundary id outside 0..n raises `ValueError`, as `lhs_element` does.
+    Witnesses and reports are therefore those of evaluating both words.
     """
-    e, lhs_framing = _lhs_framing(relation.lhs, relation.n)
+    e, lhs_framing = relation._lhs_framing
     rhs = relation.rhs_element
     framing_ok = lhs_framing == rhs.framing
     lhs_images = full_twist_images(relation.n, e)
@@ -264,15 +274,6 @@ def _pair(values: Any, field: str) -> tuple[int, int]:
     if len(pair) != 2:
         raise ValueError(f"{field} must be two JSON integers, got {len(pair)}")
     return pair
-
-
-def _lhs(pairs: Any, n: int) -> tuple[tuple[int, int], ...]:
-    """The (boundary id, exponent) pairs; a boundary id names d0..dn or the document is refused."""
-    lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(pairs))
-    for i, (boundary_id, _) in enumerate(lhs):
-        if not 0 <= boundary_id <= n:
-            raise ValueError(f"lhs[{i}] names boundary {boundary_id}, outside 0..{n}")
-    return lhs
 
 
 def _element_from_dict(data: dict[str, Any], n: int) -> FramedElement:
@@ -364,7 +365,7 @@ def _check_v1_sides(data: dict[str, Any], relation: Relation) -> None:
     `verify_relation` uses.
     """
     n = relation.n
-    e, lhs_framing = _lhs_framing(relation.lhs, n)
+    e, lhs_framing = relation._lhs_framing
     rhs = relation.rhs_element
     sides = {
         "lhs": (lhs_framing, full_twist_images(n, e)),
@@ -434,7 +435,7 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
         relation = Relation(
             name=name,
             n=n,
-            lhs=_lhs(data["lhs"], n),
+            lhs=tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"])),
             rhs=tuple(_descriptors(data["rhs"], n)),
         )
         if schema == JSON_SCHEMA_V1:

@@ -1,6 +1,7 @@
 """Braid engine: the Artin oracle, twist words, invariants, fast paths."""
 
 import random
+import sys
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -231,6 +232,27 @@ def test_composed_permutations_match_the_letter_loop():
             assert L.permutation(twist) == _reference_permutation(n, twist.letters)
             product = u * twist
             assert L.permutation(product) == _reference_permutation(n, product.letters)
+
+
+@pytest.mark.parametrize("middle_first", [True, False], ids=["middle-first", "last-first"])
+def test_orders_of_a_deep_chain_match_the_letter_loop(middle_first):
+    rng = random.Random(17)
+    n = 7
+    links = []
+    word = BraidWord(n)
+    for _ in range(10_000):  # no order is read while the chain is built
+        word = word * random_braid(rng, n, rng.randint(1, 3))
+        links.append(word)
+    last, middle = links[-1], links[len(links) // 2]
+    words = [middle, last] if middle_first else [last, middle]
+    words += [last.inverse(), middle * L.half_twist_block(n, 2, 6) * L.full_twist_block(n, 1, 4)]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # the interpreter's default
+    try:
+        for word in words:
+            assert L.permutation(word) == _reference_permutation(n, word.letters)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def _reference_rejects(n, letter):

@@ -1,6 +1,7 @@
 """CLI contract: exit codes, output purity, determinism."""
 
 import json
+import re
 
 import pytest
 
@@ -51,6 +52,15 @@ def test_verify_json_stdout_is_pure(tmp_path, capsys):
     assert payload["relation"]["schema"] == "lantern-relation/3"
     assert payload["shear_t"] is not None
     assert "applied shear" in captured.err
+
+
+@pytest.mark.parametrize("command", ["verify", "relation", "plot"])
+def test_every_shear_option_has_its_help_line(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    help_line = r"^ +--shear +normalize non-generic x-coordinates$"
+    assert re.search(help_line, capsys.readouterr().out, re.MULTILINE)
 
 
 def test_verify_missing_file_exits_2(tmp_path, capsys):

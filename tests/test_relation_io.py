@@ -370,6 +370,20 @@ def test_v3_reference_to_a_wrong_conjugator_fails_the_descriptor_check():
         L.parse_relation(json.dumps(data))
 
 
+def test_v3_reference_past_the_next_entry_parses_to_the_same_relation():
+    relation = L.verified_relation(L.make_doubled_daisy(6))
+    text = L.export_relation(relation, "json")
+    data = json.loads(text)
+    first, second = data["rhs"][0], data["rhs"][1]
+    assert first["extends"] == 1 and second["extends"] == 2
+    first["extends"] = 2
+    first["conjugator"] = second["conjugator"] + first["conjugator"]
+    parsed = L.parse_relation(json.dumps(data))
+    assert parsed == relation and parsed.report.verified
+    assert L.verify_relation(parsed).verified
+    assert L.export_relation(parsed, "json") == text
+
+
 def test_swapped_v3_entries_never_verify():
     """Swapping two adjacent entries gives ValueError or an unverified relation.
 
@@ -526,11 +540,47 @@ def test_verification_leaves_the_left_word_unbuilt(worked):
 
 @pytest.mark.parametrize("lhs", [((-1, 1),), ((0, 1), (4, 1)), ((0, 1), (-3, 2))])
 def test_relation_lhs_ids_outside_0_to_n_raise(worked, lhs):
-    relation = L.Relation("bad ids", 3, lhs, L.lantern_relation(worked).rhs)
-    with pytest.raises(ValueError, match="outside"):
-        L.verify_relation(relation)
-    with pytest.raises(ValueError):
-        relation.lhs_element
+    rhs = L.lantern_relation(worked).rhs
+    with pytest.raises(ValueError, match=r"lhs\[\d\] names boundary -?\d, outside 0\.\.3"):
+        L.Relation("bad ids", 3, lhs, rhs)
+
+
+def _composed_lhs(n, lhs):
+    """The left side as the product of its boundary twists, each to its exponent."""
+    twists = (
+        (L.inner_boundary_twist(n, b) if b else L.outer_boundary_twist(n)) ** e for b, e in lhs
+    )
+    return L.compose_all(twists, n=n)
+
+
+def test_lhs_element_is_the_composed_boundary_twists_letter_for_letter():
+    rng = random.Random(41)
+    for n in range(1, 9):
+        cases = [(), ((0, 2), (0, -3), (1, 1)), ((0, -1), (0, 1), (n, -2)), ((0, 1), (0, 1))]
+        for _ in range(10):
+            ids = (rng.randint(0, n) * rng.randint(0, 1) for _ in range(rng.randint(1, 6)))
+            cases.append(tuple((b, rng.randint(-3, 3)) for b in ids))
+        for lhs in cases:
+            element = L.Relation("left", n, lhs, ()).lhs_element
+            expected = _composed_lhs(n, lhs)
+            assert element.braid.letters == expected.braid.letters, (n, lhs)
+            assert element.framing == expected.framing, (n, lhs)
+
+
+def test_hostile_strand_count_without_a_report_parses_quickly():
+    n = 10**12
+    document = {
+        "schema": "lantern-relation/3",
+        "name": "huge",
+        "n": n,
+        "lhs": [[0, 1], [n, 2]],
+        "rhs": [],
+        "report": None,
+    }
+    start = time.perf_counter()
+    relation = L.parse_relation(json.dumps(document))
+    assert time.perf_counter() - start < 1.0
+    assert relation.n == n and relation.lhs == ((0, 1), (n, 2))
 
 
 def test_hostile_outer_exponent_is_refused_quickly(worked):
