@@ -13,20 +13,24 @@ F_n = <x_1, ..., x_n>.  The pinned generator convention is
 with all other generators fixed, and for a word u * v the automorphism of
 u applies first.  Two words are equal in the braid group exactly when they
 act identically on x_1 .. x_n.  The action is evaluated from the last
-letter back, so each letter rewrites only the two images it touches; every
-image is kept freely reduced, which makes image equality word equality in
-the free group.
+letter back, so each letter rewrites only the two images it touches.
+Every image is a conjugate w x_k w^{-1} of a generator (Artin), kept as
+the pair (w, k) with w freely reduced and not ending in x_k^{+-1}: a
+normal form, so image equality is pair equality, and a letter costs one
+common-prefix scan on two conjugators (`artin_image`).
 
 A word's strand order (the strand at each position once the word has
 acted) has one derivation: replay the letters after the nearest chain
 prefix whose order is known, from the identity for a spelled word, and
 cache it on the word; products, inverses and block twists compute none.
 A product is a link of a prefix chain (u, then v's letters as its tail),
-so a word that extends another shares its letters.  Letters are
-validated where they enter a word, with builtins (`min`, `max`, `in` and
-the set of their types) rather than a per-letter loop; products and
-inverses of checked words, and block twists, are valid by construction and
-are not re-checked.
+so a word that extends another shares its letters; `extended` links
+letters that are not yet a word, with no intermediate word.  Letters are
+validated where they enter a word, by `BraidWord(...)` and `extended`
+through one helper, with builtins (`min`, `max`, `in` and the set of
+their types) rather than a per-letter loop; products and inverses of
+checked words, and block twists, are valid by construction and are not
+re-checked.
 
 The convention makes sigma_i the counterclockwise (positive) half twist of
 two adjacent strands; it is pinned operationally by the relation tests
@@ -71,27 +75,9 @@ class BraidWord:
     __slots__ = ("n", "_parent", "_tail", "_length", "_order", "_letters", "_twin", "__weakref__")
 
     def __init__(self, n: int, letters: Iterable[int] = ()):
-        letters = tuple(letters)
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
-        if letters:
-            types = set(map(type, letters))
-            if (
-                bool in types
-                or not all(issubclass(t, int) for t in types)
-                or 0 in letters
-                or min(letters) <= -n
-                or max(letters) >= n
-            ):
-                bad = next(
-                    x
-                    for x in letters
-                    if type(x) is bool or not isinstance(x, int) or not 0 < abs(x) < n
-                )
-                raise ValueError(
-                    f"letter {bad!r} is not a generator index in 1..{n - 1} or its negative"
-                )
-        _init(self, n, None, letters)
+        _init(self, n, None, _checked_letters(n, letters))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"BraidWord is immutable: cannot set {name!r}")
@@ -144,7 +130,11 @@ class BraidWord:
             return self
         if not self._length:
             return other
-        return _init(object.__new__(BraidWord), self.n, self, other.letters)
+        return _link(self, other.letters)
+
+    def extended(self, letters: Iterable[int]) -> BraidWord:
+        """This word followed by `letters`, as one link of its chain; the letters are checked."""
+        return _link(self, _checked_letters(self.n, letters))
 
     def inverse(self) -> BraidWord:
         return _known(self.n, inverse_letters(self.letters))
@@ -169,6 +159,29 @@ class BraidWord:
 _set = object.__setattr__
 
 
+def _checked_letters(n: int, letters: Iterable[int]) -> tuple[int, ...]:
+    """`letters` as a tuple, each an int generator index in 1..n-1 or its negative."""
+    letters = tuple(letters)
+    if letters:
+        types = set(map(type, letters))
+        if (
+            bool in types
+            or not all(issubclass(t, int) for t in types)
+            or 0 in letters
+            or min(letters) <= -n
+            or max(letters) >= n
+        ):
+            bad = next(
+                x
+                for x in letters
+                if type(x) is bool or not isinstance(x, int) or not 0 < abs(x) < n
+            )
+            raise ValueError(
+                f"letter {bad!r} is not a generator index in 1..{n - 1} or its negative"
+            )
+    return letters
+
+
 def _init(word: BraidWord, n: int, parent: BraidWord | None, tail: tuple[int, ...]) -> BraidWord:
     """Fill the slots of `word`: `tail` after `parent`, or spelled when there is no parent."""
     _set(word, "n", n)
@@ -188,6 +201,17 @@ def _known(n: int, letters: tuple[int, ...]) -> BraidWord:
     their letters are not checked a second time.
     """
     return _init(object.__new__(BraidWord), n, None, letters)
+
+
+def _link(parent: BraidWord, tail: tuple[int, ...]) -> BraidWord:
+    """`parent` followed by `tail`, as one link of its chain; `parent` itself for an empty tail.
+
+    The tail's letters are valid by construction (a checked word's, or the
+    twist of a checked block) or were checked by `extended`.
+    """
+    if not tail:
+        return parent
+    return _init(object.__new__(BraidWord), parent.n, parent, tail)
 
 
 def _same_letters(u: BraidWord, v: BraidWord) -> bool:
@@ -294,6 +318,33 @@ def reduced_product(*words: FreeWord) -> FreeWord:
     return out
 
 
+def _conjugator_through(v: FreeWord, x: int, w: FreeWord, k: int) -> FreeWord:
+    """The conjugator of (v x v^-1) (w x_k w^-1) (v x v^-1)^-1, as `artin_image` keeps it.
+
+    v and w are freely reduced, v does not end in x^{+-1}, and w does not
+    end in x_k^{+-1}; the result is the free reduction of v x v^-1 w with
+    its trailing x_k^{+-1} letters dropped (proof at `artin_image`).
+    """
+    p = min(len(v), len(w))
+    if v[:p] != w[:p]:  # binary search for the common prefix, on C-level slices
+        lo = 0
+        while p - lo > 1:
+            mid = (lo + p) // 2
+            if v[lo:mid] == w[lo:mid]:
+                lo = mid
+            else:
+                p = mid
+        p = lo
+    if p < len(v):
+        c = v + (x,) + inverse_letters(v[p:]) + w[p:]
+    else:
+        c = reduced_product(v + (x,), w[p:])
+    end = len(c)
+    while end and (c[end - 1] == k or c[end - 1] == -k):
+        end -= 1
+    return c[:end]
+
+
 def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
     """Images of x_1 .. x_n under the automorphism of `word`.
 
@@ -305,23 +356,40 @@ def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
         sigma_i:       g_i <- g_i g_{i+1} g_i^{-1},   g_{i+1} <- g_i
         sigma_i^{-1}:  g_i <- g_{i+1},   g_{i+1} <- g_{i+1}^{-1} g_i g_{i+1}
 
-    Each product cancels at its junctions, so every image stays freely
-    reduced; reduced words are a normal form, so the images are those of
-    any other evaluation order.  This is a total function and the
-    equality oracle's entire substance: words are equal in B_n iff their
-    images coincide.
+    Every image is a conjugate of a generator, so it is kept as a pair
+    (w, k) standing for w x_k w^{-1}, with w freely reduced and not ending
+    in x_k^{+-1}; then w x_k w^{-1} is freely reduced as spelled.  A letter
+    moves one pair unchanged and conjugates the other, (w, a) say, through
+    the moved image g = v x_b^{+-1} v^{-1}: the new conjugator is the free
+    reduction of g w with its trailing x_a^{+-1} letters dropped.  With P
+    the longest common prefix of v = P r and w = P s, g w is
+    P r x_b^{+-1} r^{-1} s, which is reduced when r is non-empty (r and s
+    start differently, and r does not end in x_b^{+-1}); when r is empty
+    only the junction of P x_b^{+-1} and s cancels.  So a letter costs one
+    common-prefix scan on two conjugators, not products of whole images.
+
+    The images are spelled from the pairs at the end.  Reduced words are a
+    normal form, so they are those of any other evaluation order, and two
+    words' pairs agree exactly when their images do.  This is a total
+    function and the equality oracle's entire substance: words are equal
+    in B_n iff their images coincide.
     """
-    images: list[FreeWord] = [(j,) for j in range(1, word.n + 1)]
+    conjugators: list[FreeWord] = [()] * word.n
+    generators = list(range(1, word.n + 1))
     for letter in reversed(word.letters):
-        i = abs(letter) - 1
-        left, right = images[i], images[i + 1]
+        # The image g at slot `through` moves to slot `inner`, and the image
+        # there is conjugated through g (sigma_i) or through g^{-1} (sigma_i^{-1})
+        # into slot `through`.
         if letter > 0:
-            images[i] = reduced_product(left, right, inverse_letters(left))
-            images[i + 1] = left
+            through, inner, x = letter - 1, letter, generators[letter - 1]
         else:
-            images[i] = right
-            images[i + 1] = reduced_product(inverse_letters(right), left, right)
-    return tuple(images)
+            through, inner, x = -letter, -letter - 1, -generators[-letter]
+        v = conjugators[through]
+        k = generators[inner]
+        conjugators[through] = _conjugator_through(v, x, conjugators[inner], k)
+        conjugators[inner] = v
+        generators[inner], generators[through] = abs(x), k
+    return tuple(w + (k,) + inverse_letters(w) for w, k in zip(conjugators, generators))
 
 
 def permutation(word: BraidWord) -> Permutation:

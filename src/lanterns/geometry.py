@@ -19,6 +19,8 @@ Intersection points are ranked by strictly decreasing x-coordinate.  Two
 distinct points sharing an x-coordinate violate the genericity the ranking
 needs; that raises `NonGenericX` instead of being silently perturbed, and
 `shear_to_generic` performs the repair explicitly when the caller asks.
+It tests each candidate shear by projecting the grouped points, and only
+the shear it picks builds and groups lines.
 
 The ranked points and the block each one reverses (the arrangement's
 allowable sequence) are a pure function of the immutable `Arrangement`,
@@ -27,9 +29,10 @@ its `__dict__`, outside equality, hashing and repr: `intersections`,
 `fiber_blocks`, `order_profiles`, `line_multiplicities` and
 `shear_to_generic` on an arrangement that another stage already processed
 read what that stage kept.  The kept results are `_groups` (the grouping,
-dropped once the points are ranked), `_points`, `_blocks`, and
+dropped once the points are ranked), `_points`, `_blocks`,
 `monodromy.braid_monodromy`'s `_twists`, the descriptors it builds from
-the points and blocks.
+the points and blocks, and `_rhs`, the relation's right side that
+`monodromy.lantern_relation` composes from those descriptors.
 """
 
 from __future__ import annotations
@@ -434,35 +437,67 @@ def _shear_lines(arr: Arrangement, t: Fraction) -> Arrangement:
     return Arrangement(tuple(transformed), arr.source_order)
 
 
+def _generic_after_shear(scale: int, keys: Sequence[tuple[int, int, int]], k: int) -> bool:
+    """Whether the shear by t = 2^-k leaves the grouped points at pairwise distinct x.
+
+    A point with key (p, q, h) sits at x = p/q, y = h/(D*q) (`_group_points`),
+    so the shear sends it to u = x - t*y = (p*D*2^k - h)/(D*q*2^k).  The u
+    are compared as the lowest-terms fractions (p*D*2^k - h)/q, which
+    differ exactly when the u do; no line is built and nothing is grouped.
+    """
+    seen = set()
+    for p, q, h in keys:
+        numerator = (p * scale << k) - h
+        g = gcd(numerator, q)
+        seen.add((numerator // g, q // g))
+    return len(seen) == len(keys)
+
+
 def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     """Shear (x, y) -> (x - t*y, y) until intersection x's are distinct.
 
-    Tries t = 0 first, then 1/2, 1/4, 1/8, ...; the first admissible t that
-    also preserves the concurrency combinatorics wins.  Only finitely many
-    t can collide a pair of x's, flip the slope order, or create a vertical
-    line, so the halving search terminates.  Each arrangement examined is
-    grouped once: its groups are generic when no two share an x, and their
-    line sets are its concurrency partition.  The grouping stays on the
-    arrangement returned, so `intersections` does not group it again; an
-    arrangement whose points were already ranked is generic as it is.
+    Tries t = 0 first, then 1/2, 1/4, 1/8, ...; the first admissible t
+    (`_admissible_shear`) under which the points' x's are distinct wins.
+    A shear is an affine bijection of the plane, so it keeps the
+    concurrency combinatorics, and each candidate is tested by projecting
+    the input's grouped points (`_generic_after_shear`), not by shearing
+    and regrouping the lines: only the winner is sheared and grouped, and
+    its genericity and concurrency partition are then checked, so every
+    shear groups twice.  The grouping stays on the arrangement returned,
+    so `intersections` does not group it again; an arrangement whose
+    points were already ranked is generic as it is.
+
+    The search is finite.  Every t >= 1/m_1 (m_1 the largest slope) at or
+    below an inadmissible t is inadmissible too, so the first inadmissible
+    t jumps to the largest 2^-k < 1/m_1, below which every t is
+    admissible.  Two distinct points share an x after the shear by one t
+    at most, (x1 - x2)/(y1 - y2), so at most one admissible t per pair of
+    points fails.
     """
     if "_points" in arr.__dict__:
         return arr, Fraction(0)
-    _, groups = _grouping(arr)
+    scale, groups = _grouping(arr)
     if len({(p, q) for p, q, _ in groups}) == len(groups):
         return arr, Fraction(0)
 
-    partition = {frozenset(members) for members in groups.values()}
-    t = Fraction(1, 2)
-    for _ in range(256):
-        if _admissible_shear(arr, t):
-            candidate = _shear_lines(arr, t)
-            _, groups = _grouping(candidate)
-            if len({(p, q) for p, q, _ in groups}) == len(groups):
-                if {frozenset(members) for members in groups.values()} != partition:
-                    raise InvariantViolation(
-                        f"shear by t={t} changed the concurrency combinatorics"
-                    )
-                return candidate, t
-        t /= 2
-    raise InvariantViolation("no admissible shear found; this cannot happen")
+    keys = list(groups)
+    steep = arr.lines[0].slope
+    k = 1
+    for _ in range(len(keys) * (len(keys) - 1) // 2 + 1):
+        if not _admissible_shear(arr, Fraction(1, 1 << k)):
+            k = (steep.numerator // steep.denominator).bit_length()
+        if _generic_after_shear(scale, keys, k):
+            break
+        k += 1
+    else:
+        raise InvariantViolation("no admissible shear found; this cannot happen")
+    t = Fraction(1, 1 << k)
+    candidate = _shear_lines(arr, t)
+    _, sheared = _grouping(candidate)
+    if len({(p, q) for p, q, _ in sheared}) != len(sheared):
+        raise InvariantViolation(f"shear by t={t} left two points at one x")
+    if {frozenset(members) for members in sheared.values()} != {
+        frozenset(members) for members in groups.values()
+    }:
+        raise InvariantViolation(f"shear by t={t} changed the concurrency combinatorics")
+    return candidate, t

@@ -42,21 +42,22 @@ oracle in `verify_relation` (which lives in `relation`, so a parsed report
 can be re-checked there, and is re-exported here).
 
 `total_monodromy` is the relation's right side with each loop's inner
-twists divided out (from a relation the caller passes, or one it
-builds).  Inner twists carry the empty braid, so they leave the right
-side's word unchanged and only subtract, from each line's framing, the
-number of points on it: mu_L, the line's left exponent plus one.
+twists divided out (from a relation the caller passes, or one read off
+the arrangement).  Inner twists carry the empty braid, so they leave the
+right side's word unchanged and only subtract, from each line's framing,
+the number of points on it: mu_L, the line's left exponent plus one.
 
-`lantern_relation` only reads the factor lists off the combinatorics (the
-exponents mu_L - 1 and the descriptors in temporal order); `Relation`
-derives the right side's word from them when `verify_relation` first
-needs it, and the left side is never spelled there (it is central, see
-`relation.verify_relation`).
+`lantern_relation` reads the factor lists off the combinatorics (the
+exponents mu_L - 1 and the descriptors in temporal order) and hands the
+relation the arrangement's right side; the left side is never spelled
+there (it is central, see `relation.verify_relation`).
 
-The monodromy is derived once per arrangement object: `braid_monodromy`
-keeps its twists in the arrangement's `__dict__`, as `geometry` keeps the
-ranked points and checked blocks, so `verified_relation` and a later
-`total_monodromy` on the same arrangement share one set of descriptors.
+The monodromy and the right side are derived once per arrangement
+object: `braid_monodromy` keeps its twists in the arrangement's
+`__dict__`, as `geometry` keeps the ranked points and checked blocks, and
+the right side composed from them is kept next to them, so
+`verified_relation` and a later `total_monodromy` on the same arrangement
+share one set of descriptors and one word.
 """
 
 from __future__ import annotations
@@ -64,14 +65,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braids import BraidWord, StrandCountMismatch, half_twist_block
-from .framed import (
-    FramedElement,
-    TwistDescriptor,
-    compose_all,
-    conjugated_twist,
-    inner_boundary_twist,
-)
+from .braids import BraidWord, StrandCountMismatch, _link, half_twist_letters
+from .framed import FramedElement, TwistDescriptor, conjugated_twist, twist_product
 from .geometry import (
     Arrangement,
     IntersectionPoint,
@@ -117,10 +112,12 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     fiber order, and every order matches the heights); the descriptor
     consistency (beta_k's strand order, the fiber order O_{k-1}, holds the
     enclosed lines on the block) is re-checked at construction for every
-    point.  Each conjugator is the previous one times one block half
-    twist, a link of one prefix chain that holds the previous conjugator
-    rather than its letters, so the descriptors share O(n^2) letters in
-    all, and each check copies the previous order and replays one tail.
+    point.  Each conjugator is the previous one linked to one block half
+    twist's letters (valid by construction: the descriptor just checked
+    the block), a link of one prefix chain that holds the previous
+    conjugator rather than its letters, so the descriptors share O(n^2)
+    letters in all, and each check copies the previous order and replays
+    one tail.
 
     The twists are a pure function of the immutable arrangement, so they
     are built once per arrangement object and kept in its `__dict__` next
@@ -134,7 +131,7 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
         built: list[PointTwist] = []
         for point, block in zip(intersections(arr), fiber_blocks(arr)):
             built.append(PointTwist(point, TwistDescriptor(beta, block, frozenset(point.lines))))
-            beta = beta * half_twist_block(arr.n, *block)
+            beta = _link(beta, half_twist_letters(*block))
         twists = arr.__dict__["_twists"] = tuple(built)
     return MonodromyData(arr, twists)
 
@@ -144,17 +141,26 @@ def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:
 
     Left side: outer twist times inner twists to the power mu_L - 1 (all
     commuting).  Right side: the conjugated interior twists in temporal
-    order, leftmost intersection point acting first.  No word is built
-    here; the relation derives both sides when they are first used.
+    order, leftmost intersection point acting first.  The right side's
+    element (`twist_product` of the descriptors) is built once per
+    arrangement object and kept on it next to the twists, as `_rhs`; every
+    relation read off the arrangement holds that element.
+    The left side is never spelled here (it is central, see
+    `relation.verify_relation`).
     """
-    data = braid_monodromy(arr)
     mu = line_multiplicities(arr)
-    return Relation(
+    rhs = tuple(t.descriptor for t in reversed(braid_monodromy(arr).twists))  # smallest x first
+    element = arr.__dict__.get("_rhs")
+    if element is None:
+        element = arr.__dict__["_rhs"] = twist_product(rhs, arr.n)
+    relation = Relation(
         name=name,
         n=arr.n,
         lhs=((0, 1),) + tuple((line.id, mu[line.id] - 1) for line in arr.lines),
-        rhs=tuple(t.descriptor for t in reversed(data.twists)),  # smallest x first
+        rhs=rhs,
     )
+    relation.__dict__["rhs_element"] = element
+    return relation
 
 
 def verified_relation(arr: Arrangement, name: str = "lantern") -> Relation:
@@ -168,23 +174,32 @@ def total_monodromy(arr: Arrangement, relation: Relation | None = None) -> Frame
 
     The loop around the rank-k point acts as (product of inner twists of
     the incident lines)^{-1} * alpha_k; the loops compose in temporal
-    order, leftmost point first.  Inner twists carry the empty braid, so
-    they commute with every factor and only subtract framing: the product
-    is the relation's right side (one freely reduced word) times each
-    line's inner twist to -mu_L, where mu_L - 1 is the line's left
-    exponent.  For every valid generic arrangement this equals the full
-    twist with zero framing, which is deformation invariance made
-    computational: sliding all lines into a pencil cannot change what
-    happens at infinity.
+    order, leftmost point first.  For every valid generic arrangement this
+    equals the full twist with zero framing, which is deformation
+    invariance made computational: sliding all lines into a pencil cannot
+    change what happens at infinity.
 
-    `relation` is the arrangement's `lantern_relation`, built here when
-    not given; a pipeline that already holds it (from `verified_relation`)
-    passes it, so one `braid_monodromy` serves both.  A relation on another
+    The product is the relation's right side R times each line's inner
+    twist to -mu_L, where mu_L - 1 is the line's left exponent.  Inner
+    twists carry the empty braid, so they commute with every factor and
+    only subtract framing; and R's word is freely reduced (`twist_product`
+    reduces it as it builds it), so pushing it onto an empty stack cancels
+    nothing.  The result is therefore R's braid itself with mu_L taken off
+    each line's framing: letter for letter the `compose_all` of R and the
+    inner twists, with no word built.
+
+    `relation` is the arrangement's `lantern_relation`, read off it when
+    not given (its right side is kept on the arrangement, so a pipeline
+    that verified the relation builds no word here).  A relation on another
     strand count raises `StrandCountMismatch`, a `ValueError`.
     """
     if relation is None:
         relation = lantern_relation(arr)
     elif relation.n != arr.n:
         raise StrandCountMismatch(f"relation on {relation.n} strands, arrangement of {arr.n} lines")
-    inner = (inner_boundary_twist(arr.n, b) ** -(e + 1) for b, e in relation.lhs if b)
-    return compose_all((relation.rhs_element, *inner), n=arr.n)
+    rhs = relation.rhs_element
+    framing = list(rhs.framing)
+    for boundary_id, exponent in relation.lhs:
+        if boundary_id:
+            framing[boundary_id - 1] -= exponent + 1
+    return FramedElement(rhs.braid, tuple(framing))

@@ -208,6 +208,13 @@ def verify_relation(relation: Relation) -> VerificationReport:
       word, letter for letter; `full_twist_images` was checked against it
       for n = 1..40 and e = -2..2, and a test keeps that check.
 
+    * Normal form.  `artin_image` keeps each right image as a pair (w, k),
+      w freely reduced and not ending in x_k^{+-1}, and spells it
+      w x_k w^-1, which is then freely reduced; the closed-form images are
+      reduced too.  A group element has one reduced spelling, so comparing
+      the spelled images decides equality, and two pairs are equal exactly
+      when their images are.
+
     Witnesses and reports are therefore those of evaluating both words.
     """
     e, lhs_framing = relation._lhs_framing
@@ -394,7 +401,7 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     descriptors: list[TwistDescriptor] = []
     for index in reversed(range(len(entries))):
         entry = entries[index]
-        word = BraidWord(n, entry["conjugator"])
+        letters = entry["conjugator"]
         if "extends" in entry:
             j = _int(entry["extends"], f"rhs[{index}].extends")
             if not index < j < len(entries):
@@ -402,7 +409,9 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
                     f"rhs[{index}] extends entry {j}, but may extend only a later entry "
                     f"of the {len(entries)}"
                 )
-            word = conjugators[j] * word
+            word = conjugators[j].extended(letters)
+        else:
+            word = BraidWord(n, letters)
         conjugators[index] = word
         enclosed = frozenset(_ints(entry["enclosed"], "enclosed"))
         descriptor = TwistDescriptor(word, _pair(entry["block"], "block"), enclosed)

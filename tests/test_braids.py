@@ -7,10 +7,12 @@ from enum import IntEnum
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lanterns as L
-from lanterns.braids import BraidWord
-from conftest import random_braid
+from lanterns.braids import BraidWord, _conjugator_through, inverse_letters, reduced_product
+from conftest import random_arrangement, random_braid
 
 
 def test_artin_generator_convention():
@@ -197,6 +199,61 @@ def test_artin_image_matches_left_to_right_reference():
     assert long_images >= 50
 
 
+def _reference_right_to_left(word):
+    """The action on whole images, each product reduced at its junctions, no conjugate pairs."""
+    images = [(j,) for j in range(1, word.n + 1)]
+    for letter in reversed(word.letters):
+        i = abs(letter) - 1
+        left, right = images[i], images[i + 1]
+        if letter > 0:
+            images[i] = reduced_product(left, right, inverse_letters(left))
+            images[i + 1] = left
+        else:
+            images[i] = right
+            images[i + 1] = reduced_product(inverse_letters(right), left, right)
+    return tuple(images)
+
+
+def test_artin_image_matches_the_whole_image_kernel_on_monodromy_words():
+    rng = random.Random(41)
+    for n in range(2, 41):
+        arr, _ = L.shear_to_generic(random_arrangement(rng, n))
+        word = L.lantern_relation(arr).rhs_element.braid
+        assert L.artin_image(word) == _reference_right_to_left(word), n
+
+
+_letters = st.integers(1, 7).flatmap(
+    lambda m: st.lists(st.integers(-m, m).filter(bool), max_size=60).map(lambda ls: (m + 1, ls))
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(_letters)
+def test_artin_image_matches_the_whole_image_kernel(case):
+    n, letters = case
+    word = BraidWord(n, letters)
+    images = L.artin_image(word)
+    assert images == _reference_right_to_left(word)
+    assert L.artin_image(word * word.inverse()) == tuple((j,) for j in range(1, n + 1))
+
+
+@pytest.mark.parametrize(
+    "v, x, w, k, expected",
+    [
+        # v = w x_k^2 ...: v x v^-1 w ends in x_k^-2, and both letters go
+        ((2, 2), 1, (), 2, (2, 2, 1)),
+        # v is a prefix of w = v x^-1 s: the junction cancels back into v's x_k^2
+        ((4, 4, 3), 1, (4, 4, 3, -1, -3), 4, ()),
+    ],
+)
+def test_conjugator_update_strips_every_trailing_generator_letter(v, x, w, k, expected):
+    c = _conjugator_through(v, x, w, k)
+    assert c == expected
+    g = v + (x,) + inverse_letters(v)
+    h = w + (k,) + inverse_letters(w)
+    assert c + (k,) + inverse_letters(c) == L.free_reduce(g + h + inverse_letters(g))
+
+
 def test_full_twist_image_is_conjugation_by_the_boundary_word():
     # the full twist acts as conjugation by x_1 ... x_n
     for n in range(2, 31):
@@ -274,12 +331,13 @@ def test_validator_rejects_exactly_the_reference_letters():
             words = [(letter,)] if n == 1 else [(letter,), (1, letter), (letter, -1)]
             for word in words:
                 rejected = any(_reference_rejects(n, x) for x in word)
-                try:
-                    BraidWord(n, word)
-                except ValueError:
-                    assert rejected, (n, word)
-                else:
-                    assert not rejected, (n, word)
+                for build in (BraidWord, lambda n, word: BraidWord(n).extended(word)):
+                    try:
+                        build(n, word)
+                    except ValueError:
+                        assert rejected, (n, word)
+                    else:
+                        assert not rejected, (n, word)
 
 
 def test_bool_letters_rejected():

@@ -43,6 +43,14 @@ def test_verify_non_generic_exit_codes(tmp_path, capsys):
     assert "verified" in captured.out
 
 
+def test_verify_shears_past_a_steep_slope(tmp_path, capsys):
+    # every t >= 2^-300 turns a slope order around; the shear is t = 2^-301
+    path = _write(tmp_path, "steep.json", [(2**300, 0), (0, 0), (1, 1), (-1, 1)])
+    assert main(["verify", path, "--shear", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["verified"] is True and payload["shear_t"] == f"1/{2**301}"
+
+
 def test_verify_json_stdout_is_pure(tmp_path, capsys):
     path = _write(tmp_path, "collide.json", NON_GENERIC_LINES)
     assert main(["verify", path, "--shear", "--json"]) == 0

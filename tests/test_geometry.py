@@ -218,6 +218,76 @@ def test_shear_with_every_slope_above_one_over_t():
     assert L.verified_relation(sheared).report.verified
 
 
+def _reference_shear(arr):
+    """The halving search without projection: shear and regroup the lines for every candidate t."""
+    _, groups = L.geometry._group_points(arr)
+    if len({(p, q) for p, q, _ in groups}) == len(groups):
+        return arr, Fraction(0)
+    partition = {frozenset(members) for members in groups.values()}
+    t = Fraction(1, 2)
+    for _ in range(256):
+        if L.geometry._admissible_shear(arr, t):
+            candidate = L.geometry._shear_lines(arr, t)
+            _, groups = L.geometry._group_points(candidate)
+            if len({(p, q) for p, q, _ in groups}) == len(groups):
+                assert {frozenset(members) for members in groups.values()} == partition
+                return candidate, t
+        t /= 2
+    raise AssertionError("no admissible shear found")
+
+
+def _non_generic_entries(rng, n):
+    """Random lines with two points forced onto one vertical, sometimes a third line through one."""
+    slopes = set()
+    while len(slopes) < n:
+        slopes.add(Fraction(rng.randint(-30, 30), rng.randint(1, 4)))
+    entries = [[m, Fraction(rng.randint(-9, 9), rng.randint(1, 3))] for m in slopes]
+    a, b, c, d, e = rng.sample(range(n), 5) if n >= 5 else rng.sample(range(n), 4) + [None]
+    x = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    y, z = rng.sample(range(-9, 10), 2)
+    for line, height in ((a, y), (b, y), (c, z), (d, z)) + (((e, y),) if rng.random() < 0.5 else ()):
+        if line is not None:
+            entries[line][1] = height - entries[line][0] * x
+    return entries
+
+
+def test_projected_shear_search_matches_the_regrouping_reference():
+    rng = random.Random(42)
+    sheared = triple = 0
+    while sheared < 300:
+        arr = L.validate_arrangement(_non_generic_entries(rng, rng.randint(4, 12)))
+        expected, t = _reference_shear(arr)
+        assert L.shear_to_generic(arr) == (expected, t)
+        sheared += t != 0
+        triple += any(len(p.lines) > 2 for p in L.intersections(expected))
+    assert triple > 50
+
+
+def test_a_shear_after_seven_tries_groups_twice(monkeypatch):
+    calls = []
+    reference = L.geometry._group_points
+
+    def counting(arr):
+        calls.append(arr)
+        return reference(arr)
+
+    monkeypatch.setattr("lanterns.geometry._group_points", counting)
+    arr = random_arrangement(random.Random(1), 18, allow_concurrent=False)
+    sheared, t = L.shear_to_generic(arr)
+    assert t == Fraction(1, 128) and calls == [arr, sheared]
+
+
+def test_shear_search_passes_the_slopes_that_forbid_every_large_t():
+    # Lines 1, 2 meet at (0, 0) and lines 3, 4 at (0, 1).  Every t >= 2^-300
+    # is inadmissible, which the search jumps over in one step.
+    arr = L.validate_arrangement([(2**300, 0), (0, 0), (1, 1), (-1, 1)])
+    sheared, t = L.shear_to_generic(arr)
+    assert t == Fraction(1, 2**301)
+    assert not L.geometry._admissible_shear(arr, 2 * t)
+    assert sheared == L.geometry._shear_lines(arr, t)
+    assert L.verified_relation(sheared).report.verified
+
+
 def test_pair_count_conservation_random():
     rng = random.Random(7)
     for _ in range(40):

@@ -209,16 +209,21 @@ def test_total_monodromy_reuses_the_kept_monodromy(monkeypatch):
     relations = [L.verified_relation(arr) for arr in arrangements]
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return half_twist_block(*args)
+    def counting(name, function):
+        def count(*args):
+            calls.append(name)
+            return function(*args)
 
-    monkeypatch.setattr("lanterns.monodromy.half_twist_block", counting)
+        monkeypatch.setattr(f"lanterns.monodromy.{name}", count)
+
+    counting("twist_product", L.monodromy.twist_product)
+    counting("half_twist_letters", L.monodromy.half_twist_letters)
     for arr, relation in zip(arrangements, relations):
         total = L.total_monodromy(arr)
         assert total.framing == (0,) * arr.n
-        assert total.braid == relation.rhs_element.braid
+        assert total.braid is relation.rhs_element.braid
         assert L.braid_monodromy(arr).twists[0].descriptor is relation.rhs[-1]
     assert calls == []
     fresh = L.validate_arrangement([(2, 0), (1, 1), (-1, 4)])
-    assert L.total_monodromy(fresh).framing == (0, 0, 0) and len(calls) == 3
+    assert L.total_monodromy(fresh).framing == (0, 0, 0)
+    assert sorted(calls) == ["half_twist_letters"] * 3 + ["twist_product"]
