@@ -19,7 +19,8 @@ x-coordinate of the intersection realizing them (rank order).  An ordering
 is admissible when the points of line i against lines j < k keep (i,j)
 before (i,k); `realize_ordering` searches for an arrangement realizing an
 admissible ordering exactly, deciding the homogeneous strict inequalities
-on the intercepts by Fourier-Motzkin for a handful of slope vectors, and
+on the intercepts for a handful of slope vectors by an integer simplex
+whose every answer comes with a checked point or Gordan certificate, and
 reports `Unrealized` with its best partial match when the bounded search
 runs out.  Admissible does not imply realizable: for any slopes, the
 x-coordinate of points(i,k) is a convex combination of those of (i,j) and
@@ -33,7 +34,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
+from math import factorial, gcd, lcm
 
 from .geometry import (
     Arrangement,
@@ -76,10 +77,12 @@ class Unrealized:
 def validate_ordering(ordering: PairOrdering) -> bool:
     """Admissibility: (i,j) must come before (i,k) whenever j < k.
 
-    Raises MalformedOrdering when the sequence is not a permutation of all
-    pairs (i, j) with 1 <= i < j <= n.
+    Raises MalformedOrdering when n < 2 or the sequence is not a
+    permutation of all pairs (i, j) with 1 <= i < j <= n.
     """
     n = ordering.n
+    if n < 2:
+        raise MalformedOrdering(f"a pair ordering needs n >= 2 lines, got n = {n}")
     expected = {(i, j) for i, j in combinations(range(1, n + 1), 2)}
     seen = set(ordering.pairs)
     if len(ordering.pairs) != len(expected) or seen != expected:
@@ -215,79 +218,148 @@ def realize_wajnryb(n: int) -> Arrangement:
 # ---------------------------------------------------------------------------
 # exact feasibility search for pair orderings
 
-_Ineq = tuple[Fraction, ...]  # coefficients of a strict sum(coeff*c) > 0
 
+def _pivot(tab: list[list[int]], r: int, s: int, d: int) -> int:
+    """Exchange the basic variable of row r with the column s, fraction-free.
 
-def _fm_feasible_point(ineqs: list[_Ineq], nvars: int) -> list[Fraction] | None:
-    """A point satisfying all strict homogeneous inequalities, or None (Fourier-Motzkin).
-
-    Every row reads sum(coeff*c) > 0 with no constant: eliminating a
-    variable adds positive multiples of two rows, so the rows stay
-    homogeneous.  A row left after the last elimination has only zero
-    coefficients and reads 0 > 0, so the system is feasible exactly when
-    no row survives; the bounds met during back-substitution are sums of
-    coefficients times the values already fixed.
+    Entries are integers over the common denominator d > 0 (Bareiss's
+    integer pivoting): every entry is a minor of the starting tableau, so the
+    division by the old denominator is exact.  Returns the new denominator,
+    the pivot, made positive by negating the whole tableau when needed.
     """
-    stages: list[tuple[int, list[_Ineq]]] = []
-    current = ineqs
-    for v in range(nvars - 1, -1, -1):
-        stages.append((v, current))
-        pos = [q for q in current if q[v] > 0]
-        neg = [q for q in current if q[v] < 0]
-        new = [q for q in current if q[v] == 0]
-        for p in pos:
-            for q in neg:
-                ap, aq = p[v], q[v]
-                new.append(tuple(p[k] * (-aq) + q[k] * ap for k in range(nvars)))
-        current = new
-    if current:
-        return None
-    values = [Fraction(0)] * nvars
-    for v, stage in reversed(stages):
-        lower: Fraction | None = None
-        upper: Fraction | None = None
-        for coeffs in stage:
-            a = coeffs[v]
-            if a == 0:
-                continue
-            bound = -sum(coeffs[k] * values[k] for k in range(v)) / a
-            if a > 0:
-                lower = bound if lower is None else max(lower, bound)
-            else:
-                upper = bound if upper is None else min(upper, bound)
-        if lower is not None and upper is not None:
-            values[v] = (lower + upper) / 2
-        elif lower is not None:
-            values[v] = lower + 1
-        elif upper is not None:
-            values[v] = upper - 1
-    return values
+    pivot = tab[r]
+    p = pivot[s]
+    for i, row in enumerate(tab):
+        f = row[s]
+        if f:
+            if i != r:
+                new = [(p * x - f * y) // d for x, y in zip(row, pivot)]
+                new[s] = -f
+                tab[i] = new
+        elif p != d:
+            tab[i] = [p * x // d for x in row]
+    pivot[s] = d
+    if p < 0:
+        tab[:] = [[-x for x in row] for row in tab]
+        p = -p
+    return p
+
+
+def _strict_solution(rows: list[tuple[int, ...]], nvars: int) -> tuple[bool, list[int]]:
+    """Decide the strict homogeneous system a_i . c > 0 over free integers c.
+
+    Returns (True, c), c a primitive integer point meeting every row
+    strictly, or (False, y), y a Gordan certificate: y >= 0, y != 0 and
+    sum(y_i a_i) = 0.  Both are checked exactly before they are returned, so
+    a wrong answer raises InvariantViolation; `realize_ordering` states the
+    LP and why the certificate is one.
+
+    Simplex on a compact tableau, row k reading d*x_k = rhs - sum(entry *
+    nonbasic), row 0 being the objective eps.  The origin is a basic
+    feasible solution, so there is no Phase I.  The free c_k are pivoted
+    into the basis first, on rows whose right side is 0 so no value moves,
+    and their rows then sit out every ratio test, so they never leave.
+    Bland's rule (smallest variable index enters and, among tied ratios,
+    leaves) keeps the degenerate pivots from cycling.
+    """
+    m, r = nvars, len(rows)
+    # Variables: c_k is k, eps is m, the slack of row i is m + 1 + i and the
+    # slack of eps <= 1 is m + 1 + r.  Column 0 holds the right-hand side.
+    cols = [-1] + list(range(m + 1))
+    basis = [-1] + list(range(m + 1, m + r + 2))
+    tab = [[0] * (m + 1) + [-1]]
+    tab += [[0] + [-a for a in row] + [1] for row in rows]
+    tab.append([1] + [0] * m + [1])
+    d = 1
+    for k in range(1, m + 1):
+        # Any nonzero pivot keeps the values; the smallest keeps the integers small.
+        candidates = [(abs(tab[i][k]), i) for i in range(1, r + 1) if basis[i] > m and tab[i][k]]
+        if candidates:
+            i = min(candidates)[1]
+            d = _pivot(tab, i, k, d)
+            basis[i], cols[k] = cols[k], basis[i]
+    while True:
+        objective = tab[0]
+        entering = [(cols[j], j) for j in range(1, m + 2) if objective[j] < 0]
+        if not entering:
+            break
+        s = min(entering)[1]
+        leave = None
+        for i in range(1, r + 2):
+            a = tab[i][s]
+            if a > 0 and basis[i] >= m:
+                if leave is None:
+                    leave = i
+                    continue
+                # Compare the ratios tab[i][0]/a and tab[leave][0]/tab[leave][s].
+                delta = tab[i][0] * tab[leave][s] - tab[leave][0] * a
+                if delta < 0 or (delta == 0 and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            raise InvariantViolation("simplex: unbounded, but eps <= 1 bounds the objective")
+        d = _pivot(tab, leave, s, d)
+        basis[leave], cols[s] = cols[s], basis[leave]
+
+    if tab[0][0] > 0:  # the optimum eps is positive
+        point = [0] * m
+        for i in range(1, r + 2):
+            if basis[i] < m:
+                point[basis[i]] = tab[i][0]
+        g = gcd(*point)
+        if g > 1:
+            point = [v // g for v in point]
+        if any(sum(a * v for a, v in zip(row, point)) <= 0 for row in rows):
+            raise InvariantViolation(f"simplex point {point} misses a strict row")
+        return True, point
+    y = [0] * r
+    for j in range(1, m + 2):
+        if m < cols[j] <= m + r:
+            y[cols[j] - m - 1] = tab[0][j]
+    combination = [sum(yi * row[k] for yi, row in zip(y, rows)) for k in range(m)]
+    if min(y, default=0) < 0 or not any(y) or any(combination):
+        raise InvariantViolation(f"simplex certificate {y} is not a Gordan certificate")
+    return False, y
 
 
 def _pair_forms(
     slopes: list[Fraction], pairs: list[tuple[int, int]]
-) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-    """Intersection x of each pair as a linear form in c_2..c_n (c_1 = 0)."""
+) -> dict[tuple[int, int], list[int]]:
+    """Intersection x of each pair as a linear form in c_2..c_n (c_1 = 0).
+
+    Lines i < j cross at x = (c_j - c_i)/(m_i - m_j).  Every form is scaled by
+    one positive K, the lcm of the slope gaps' numerators, which makes it
+    integer and keeps every comparison between crossings.
+    """
     n = len(slopes)
+    gaps = {(i, j): slopes[i - 1] - slopes[j - 1] for i, j in pairs}
+    scale = lcm(*(gap.numerator for gap in gaps.values()))
     forms = {}
-    for i, j in pairs:
-        coeffs = [Fraction(0)] * (n - 1)
-        weight = 1 / (slopes[i - 1] - slopes[j - 1])
-        coeffs[j - 2] += weight
+    for (i, j), gap in gaps.items():
+        weight = scale // gap.numerator * gap.denominator  # K/(m_i - m_j), exact
+        coeffs = [0] * (n - 1)
+        coeffs[j - 2] = weight
         if i >= 2:
-            coeffs[i - 2] -= weight
-        forms[(i, j)] = tuple(coeffs)
+            coeffs[i - 2] = -weight
+        forms[(i, j)] = coeffs
     return forms
 
 
 def _chain_inequalities(
-    forms: dict[tuple[int, int], tuple[Fraction, ...]],
+    forms: dict[tuple[int, int], list[int]],
     chain: list[tuple[int, int]],
     below: list[tuple[int, int]],
-) -> list[_Ineq]:
-    ineqs = [tuple(a - b for a, b in zip(forms[u], forms[v])) for u, v in zip(chain, chain[1:])]
-    ineqs += [tuple(a - b for a, b in zip(forms[chain[-1]], forms[q])) for q in below]
-    return ineqs
+) -> list[tuple[int, ...]]:
+    """Rows of x(u) > x(v) for consecutive chain pairs, then of x(last) > x(q) below.
+
+    Each row is divided by the gcd of its entries, a positive factor, so it
+    states the same strict inequality with smaller integers.
+    """
+    rows = []
+    for u, v in list(zip(chain, chain[1:])) + [(chain[-1], q) for q in below]:
+        row = [a - b for a, b in zip(forms[u], forms[v])]
+        k = gcd(*row)
+        rows.append(tuple(a // k for a in row) if k > 1 else tuple(row))
+    return rows
 
 
 def _slope_candidates(n: int) -> list[list[Fraction]]:
@@ -300,7 +372,7 @@ def _slope_candidates(n: int) -> list[list[Fraction]]:
 
 
 def _arrangement_from_intercepts(
-    slopes: list[Fraction], values: list[Fraction]
+    slopes: list[Fraction], values: list[int]
 ) -> Arrangement:
     intercepts = [Fraction(0)] + list(values)
     return validate_arrangement(list(zip(slopes, intercepts)))
@@ -309,11 +381,29 @@ def _arrangement_from_intercepts(
 def realize_ordering(ordering: PairOrdering) -> Arrangement | Unrealized:
     """Search for an arrangement realizing an admissible pair order exactly.
 
-    For each candidate slope vector the realized order is a conjunction of
-    strict linear inequalities over the intercepts, decided exactly; the
-    first feasible system yields the arrangement (whose relation is then
-    verified).  On exhaustion the result is Unrealized carrying the longest
-    realizable target prefix found.
+    For each candidate slope vector (line 1's intercept fixed at 0) the
+    realized order is a conjunction of strict homogeneous inequalities
+    a_i . c > 0 over the free intercepts c = (c_2, ..., c_n): the crossing
+    x of lines i < j is (c_j - c_i)/(m_i - m_j), and each row says one
+    crossing lies right of the next.  Each row is scaled to its primitive
+    integer multiple, a positive multiple, so it states the same
+    inequality.  The first feasible system yields the arrangement (whose
+    relation is then verified).  On exhaustion the result is Unrealized
+    carrying the longest realizable target prefix found.
+
+    The system is decided by the linear program: maximize eps subject to
+    a_i . c - eps >= 0 and eps <= 1.  The origin (c = 0, eps = 0) is
+    feasible and eps is bounded, so the optimum eps* exists.  If eps* > 0
+    the optimal c meets every row strictly.  If eps* = 0 the dual optimum
+    gives y >= 0 with sum(y_i a_i) = 0 and sum(y_i) >= 1 (the entries of
+    the final objective row under the row slacks): a strict point c would
+    give 0 = sum(y_i (a_i . c)) > 0, so none exists (Gordan's theorem).
+    `_strict_solution` checks the point, or the certificate, exactly.
+
+    Scaling keeps the order: every crossing x is linear in c, so the point
+    lambda*c (lambda > 0) puts every crossing at lambda times its x, and
+    the rank order is the same; the intercepts returned are therefore the
+    primitive integer point on the solved ray.
     """
     if not validate_ordering(ordering):
         raise ValueError(
@@ -324,16 +414,15 @@ def realize_ordering(ordering: PairOrdering) -> Arrangement | Unrealized:
     best: tuple[int, Arrangement | None] = (0, None)
     for slopes in _slope_candidates(n):
         forms = _pair_forms(slopes, target)
-        ineqs = _chain_inequalities(forms, target, [])
-        values = _fm_feasible_point(ineqs, n - 1)
-        if values is not None:
+        feasible, values = _strict_solution(_chain_inequalities(forms, target, []), n - 1)
+        if feasible:
             arr = _arrangement_from_intercepts(slopes, values)
             realized = extract_pair_ordering(arr).pairs
             if realized != ordering.pairs:
                 # The inequalities pin the full order, so only a solver bug gets here.
                 k = next(k for k, (a, b) in enumerate(zip(realized, target)) if a != b)
                 raise InvariantViolation(
-                    f"slopes {[str(m) for m in slopes]}: the Fourier-Motzkin point realizes "
+                    f"slopes {[str(m) for m in slopes]}: the solved point realizes "
                     f"{realized[k]} at position {k}, where the target has {target[k]}"
                 )
             if not verified_relation(arr).report.verified:
@@ -347,9 +436,9 @@ def realize_ordering(ordering: PairOrdering) -> Arrangement | Unrealized:
         point = None
         while lo <= hi:
             mid = (lo + hi) // 2
-            ineqs = _chain_inequalities(forms, target[:mid], target[mid:])
-            candidate_point = _fm_feasible_point(ineqs, n - 1)
-            if candidate_point is not None:
+            rows = _chain_inequalities(forms, target[:mid], target[mid:])
+            feasible, candidate_point = _strict_solution(rows, n - 1)
+            if feasible:
                 best_here, point = mid, candidate_point
                 lo = mid + 1
             else:

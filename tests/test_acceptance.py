@@ -312,3 +312,22 @@ def test_criterion_13_scale_n120_in_bounded_memory():
         f"round trip in {elapsed:.2f}s, export {result['export_bytes'] / 1e6:.2f} MB, "
         f"peak RSS {peak_mb:.0f} MB"
     )
+
+
+def test_criterion_15_orderings_round_trip_to_n9():
+    targets = []
+    for n in (7, 8, 9):
+        lex = tuple((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
+        column = tuple(sorted(lex, key=lambda p: (p[1], p[0])))
+        targets += [L.PairOrdering(n, lex), L.PairOrdering(n, column)]
+    times = []
+    for _ in range(3):  # the best of three, so one scheduler stall is not a failure
+        start = time.perf_counter()
+        realized = [L.realize_ordering(ordering) for ordering in targets]
+        times.append(time.perf_counter() - start)
+        for ordering, arr in zip(targets, realized):
+            assert isinstance(arr, L.Arrangement)
+            assert L.extract_pair_ordering(arr) == ordering
+    elapsed = min(times)
+    assert elapsed < 0.045
+    print(f"criterion 15 PASS: lex and column orderings for n = 7, 8, 9 round-trip in {elapsed * 1000:.0f} ms")

@@ -3,9 +3,11 @@
 import hashlib
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lanterns as L
 import lanterns.families as families
@@ -24,6 +26,13 @@ def test_validate_ordering_malformed():
         L.validate_ordering(L.PairOrdering(3, ((1, 2), (1, 2), (2, 3))))
     with pytest.raises(L.MalformedOrdering):
         L.validate_ordering(L.PairOrdering(3, ((1, 2), (1, 3))))
+
+
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_orderings_on_fewer_than_two_lines_are_malformed(n):
+    for check in (L.validate_ordering, L.realize_ordering):
+        with pytest.raises(L.MalformedOrdering, match=f"n = {n}"):
+            check(L.PairOrdering(n, ()))
 
 
 def test_realize_wajnryb_family():
@@ -114,31 +123,128 @@ def _column(n):
 def test_realize_ordering_outputs_are_pinned():
     arr = L.realize_ordering(L.PairOrdering(4, _column(4)))
     coefficients = [(line.slope, line.intercept) for line in arr.lines]
-    assert coefficients == [(4, 0), (3, 0), (2, -1), (1, -4)]
+    # Crossings x_ij = (c_j - c_i)/(m_i - m_j): (1,2) at 4, (1,3) at 5/2, (2,3) at 1,
+    # (1,4) at 0, (2,4) at -2, (3,4) at -5, strictly decreasing in column order.
+    assert coefficients == [(4, 0), (3, 4), (2, 5), (1, 0)]
 
     bad = ((1, 2), (2, 3), (1, 3)) + tuple(p for p in _lex(4) if p[1] > 3)
     result = L.realize_ordering(L.PairOrdering(4, bad))
     assert isinstance(result, L.Unrealized)
     assert result.first_mismatch == 1
     candidate = [(line.slope, line.intercept) for line in result.candidate.lines]
-    assert candidate == [(4, 0), (3, 0), (2, -1), (1, -2)]
+    assert candidate == [(4, 0), (3, 2), (2, 1), (1, 0)]
     assert result.realized is None  # lines 2, 3 and 4 meet at x = -1
 
 
 def test_realize_ordering_refuses_a_point_that_misses_the_target(monkeypatch):
     lex = L.realize_ordering(L.PairOrdering(4, _lex(4)))
     lex_point = [line.intercept for line in lex.lines[1:]]
-    solve = families._fm_feasible_point
+    solve = families._strict_solution
     calls = []
 
-    def first_call_returns_the_lex_point(ineqs, nvars):
+    def first_call_returns_the_lex_point(rows, nvars):
         calls.append(nvars)
-        return list(lex_point) if len(calls) == 1 else solve(ineqs, nvars)
+        return (True, list(lex_point)) if len(calls) == 1 else solve(rows, nvars)
 
-    monkeypatch.setattr(families, "_fm_feasible_point", first_call_returns_the_lex_point)
+    monkeypatch.setattr(families, "_strict_solution", first_call_returns_the_lex_point)
     with pytest.raises(L.InvariantViolation, match=r"slopes \['4', '3', '2', '1'\].*position 2"):
         L.realize_ordering(L.PairOrdering(4, _column(4)))
     assert len(calls) == 1
+
+
+def _fourier_motzkin_point(ineqs, nvars):
+    """Reference: a strict point of integer homogeneous rows by Fourier-Motzkin, or None.
+
+    Eliminating a variable adds positive multiples of two rows, so the rows
+    stay homogeneous; the system is feasible exactly when no row survives
+    the last elimination.  Each new row is kept as its primitive multiple,
+    once, which states the same inequality; the growth is still doubly
+    exponential, so this is for small systems only.
+    """
+
+    def primitive(row):
+        g = gcd(*row)
+        return tuple(a // g for a in row) if g > 1 else tuple(row)
+
+    stages = []
+    current = sorted({primitive(q) for q in ineqs})
+    for v in range(nvars - 1, -1, -1):
+        stages.append((v, current))
+        pos = [q for q in current if q[v] > 0]
+        neg = [q for q in current if q[v] < 0]
+        new = {q for q in current if q[v] == 0}
+        for p in pos:
+            for q in neg:
+                ap, aq = p[v], q[v]
+                new.add(primitive([p[k] * (-aq) + q[k] * ap for k in range(nvars)]))
+        current = sorted(new)
+    if current:
+        return None
+    values = [Fraction(0)] * nvars
+    for v, stage in reversed(stages):
+        lower = upper = None
+        for coeffs in stage:
+            a = coeffs[v]
+            if a == 0:
+                continue
+            bound = -sum(coeffs[k] * values[k] for k in range(v)) / Fraction(a)
+            if a > 0:
+                lower = bound if lower is None else max(lower, bound)
+            else:
+                upper = bound if upper is None else min(upper, bound)
+        if lower is not None and upper is not None:
+            values[v] = (lower + upper) / 2
+        elif lower is not None:
+            values[v] = lower + 1
+        elif upper is not None:
+            values[v] = upper - 1
+    return values
+
+
+def _check_strict_answer(rows, nvars):
+    feasible, answer = families._strict_solution(rows, nvars)
+    if feasible:
+        assert len(answer) == nvars
+        assert all(sum(a * c for a, c in zip(row, answer)) > 0 for row in rows)
+    else:
+        assert len(answer) == len(rows)
+        assert min(answer) >= 0 and any(answer)
+        assert all(sum(y * row[k] for y, row in zip(answer, rows)) == 0 for k in range(nvars))
+    reference = _fourier_motzkin_point(rows, nvars)
+    assert feasible == (reference is not None)
+    if reference is not None:
+        assert all(sum(a * c for a, c in zip(row, reference)) > 0 for row in rows)
+    return feasible
+
+
+@st.composite
+def _homogeneous_systems(draw):
+    nvars = draw(st.integers(1, 4))
+    row = st.tuples(*[st.integers(-5, 5)] * nvars)
+    return draw(st.lists(row, max_size=8)), nvars
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(_homogeneous_systems())
+def test_strict_solution_is_a_point_or_a_certificate(system):
+    _check_strict_answer(*system)
+
+
+@pytest.mark.parametrize(
+    "rows, nvars, feasible",
+    [
+        ([], 1, True),
+        ([], 3, True),
+        ([(0,)], 1, False),
+        ([(0, 0, 0)], 3, False),
+        ([(2, -1)], 2, True),
+        ([(2, -1), (-2, 1)], 2, False),
+        ([(1, 0), (0, 1), (-1, -1)], 2, False),
+        ([(1, -1), (0, 1)], 2, True),
+    ],
+)
+def test_strict_solution_edge_cases(rows, nvars, feasible):
+    assert _check_strict_answer(rows, nvars) == feasible
 
 
 def test_make_daisy_combinatorics():
