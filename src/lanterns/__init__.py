@@ -18,7 +18,6 @@ from .braids import (
     exponent_sum,
     free_reduce,
     full_twist_block,
-    generator,
     half_twist_block,
     is_pure,
     permutation,

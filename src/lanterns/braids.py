@@ -23,14 +23,18 @@ A word's strand order (the strand at each position once the word has
 acted) has one derivation: replay the letters after the nearest chain
 prefix whose order is known, from the identity for a spelled word, and
 cache it on the word; products, inverses and block twists compute none.
+The order is moved, not copied, from a prefix with one link on it, so a
+chain whose orders are read link by link (the monodromy's conjugators, a
+parsed `"extends"` chain) keeps one n-entry order, at its newest link,
+and O(n^2) memory where an order per link took O(n^3); a prefix that
+several links extend keeps a copy for the others (`_strand_order`).
 A product is a link of a prefix chain (u, then v's letters as its tail),
-so a word that extends another shares its letters; `extended` links
-letters that are not yet a word, with no intermediate word.  Letters are
-validated where they enter a word, by `BraidWord(...)` and `extended`
-through one helper, with builtins (`min`, `max`, `in` and the set of
-their types) rather than a per-letter loop; products and inverses of
-checked words, and block twists, are valid by construction and are not
-re-checked.
+so a word that extends another shares its letters.  Letters are
+validated where they enter a word, by `BraidWord(...)` and by the
+relation parser (every entry's letters in one call) through one helper,
+with builtins (`min`, `max`, `in` and the set of their types) rather than
+a per-letter loop; products and inverses of checked words, and block
+twists, are valid by construction and are not re-checked.
 
 The convention makes sigma_i the counterclockwise (positive) half twist of
 two adjacent strands; it is pinned operationally by the relation tests
@@ -69,10 +73,12 @@ class BraidWord:
     access, walking back to the nearest spelled word, as `_strand_order`
     walks back to the nearest link that knows its order; equality, hashing
     and `len` never spell, nothing recurses along a chain, and words are
-    immutable.
+    immutable.  A chain keeps one strand order, on the newest link whose
+    order was read, plus a copy on each link that several links extend.
     """
 
-    __slots__ = ("n", "_parent", "_tail", "_length", "_order", "_letters", "_twin", "__weakref__")
+    __slots__ = ("n", "_parent", "_tail", "_length", "_order", "_letters", "_twin", "_links",
+                 "__weakref__")
 
     def __init__(self, n: int, letters: Iterable[int] = ()):
         if n < 1:
@@ -106,21 +112,34 @@ class BraidWord:
 
     @property
     def _strand_order(self) -> tuple[int, ...]:
-        """Entry p-1 is the strand at position p once the word has acted; cached on this word."""
+        """Entry p-1 is the strand at position p once the word has acted.
+
+        The order is replayed from the nearest prefix that knows its order
+        and cached on this word.  It is moved, not copied, from a prefix
+        with one link on it, so a chain read link by link keeps one order,
+        at its newest link.  A prefix with several links on it (a branch
+        point) keeps a copy, and a replay leaves one at every branch point
+        it passes, so each branch starts from there: reading k words that
+        extend one word costs O(k n) plus one replay, not k replays.  An
+        older link of a chain read again is replayed from the chain's root.
+        """
         order = self._order
         if order is None:
-            tails = []
-            word = self
-            while word is not None and word._order is None:
-                tails.append(word._tail)
+            links = []
+            word, known = self, None
+            while word is not None and (known := word._order) is None:  # read once: reads move it
+                links.append(word)
                 word = word._parent
-            at = list(range(1, self.n + 1) if word is None else word._order)
-            for tail in reversed(tails):
-                for letter in tail:
+            at = list(range(1, self.n + 1) if word is None else known)
+            if word is not None and word._links == 1:  # its one link takes the order on
+                _set(word, "_order", None)
+            for link in reversed(links):
+                for letter in link._tail:
                     i = abs(letter)
                     at[i - 1], at[i] = at[i], at[i - 1]
-            order = tuple(at)
-            _set(self, "_order", order)
+                if link is self or link._links > 1:  # self comes last
+                    order = tuple(at)
+                    _set(link, "_order", order)
         return order
 
     def __mul__(self, other: BraidWord) -> BraidWord:
@@ -131,10 +150,6 @@ class BraidWord:
         if not self._length:
             return other
         return _link(self, other.letters)
-
-    def extended(self, letters: Iterable[int]) -> BraidWord:
-        """This word followed by `letters`, as one link of its chain; the letters are checked."""
-        return _link(self, _checked_letters(self.n, letters))
 
     def inverse(self) -> BraidWord:
         return _known(self.n, inverse_letters(self.letters))
@@ -191,14 +206,16 @@ def _init(word: BraidWord, n: int, parent: BraidWord | None, tail: tuple[int, ..
     _set(word, "_order", None)
     _set(word, "_letters", tail if parent is None else None)
     _set(word, "_twin", None)
+    _set(word, "_links", 0)  # how many links `_link` made on this word
     return word
 
 
 def _known(n: int, letters: tuple[int, ...]) -> BraidWord:
-    """A spelled word whose letters are valid by construction.
+    """A spelled word whose letters are valid by construction or already checked.
 
-    Inverses of checked words and the twists of a checked block qualify:
-    their letters are not checked a second time.
+    Inverses of checked words, the twists of a checked block and letters
+    that passed `_checked_letters` qualify: they are not checked a second
+    time.
     """
     return _init(object.__new__(BraidWord), n, None, letters)
 
@@ -207,10 +224,11 @@ def _link(parent: BraidWord, tail: tuple[int, ...]) -> BraidWord:
     """`parent` followed by `tail`, as one link of its chain; `parent` itself for an empty tail.
 
     The tail's letters are valid by construction (a checked word's, or the
-    twist of a checked block) or were checked by `extended`.
+    twist of a checked block) or were checked by `_checked_letters`.
     """
     if not tail:
         return parent
+    _set(parent, "_links", parent._links + 1)
     return _init(object.__new__(BraidWord), parent.n, parent, tail)
 
 
@@ -276,11 +294,6 @@ def divergent_tails(
             theirs.append(v._tail)
             v = v._parent
     return ours, theirs
-
-
-def generator(n: int, i: int) -> BraidWord:
-    """The single generator sigma_i in B_n."""
-    return BraidWord(n, (i,))
 
 
 def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:

@@ -7,7 +7,8 @@ out-of-range n, unknown format, a file that cannot be read or written,
 coordinates too large to plot),
 3 intersection points sharing an x-coordinate when --shear was not given.
 Every command fails through the one handler in `main`; `verify` also uses
-it per file, so a batch goes on past a bad file.
+it per file, so a batch goes on past a bad file, and for a batch directory
+that cannot be listed or holds no arrangement file.
 
 With --json the only bytes on stdout are one JSON document; all
 diagnostics go to stderr.
@@ -124,22 +125,18 @@ def _print_verify_human(payload: dict) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.batch:
-        directory = Path(args.path)
-        if not directory.is_dir():
-            _info(f"{args.path} is not a directory")
-            return EXIT_INVALID_INPUT
-        paths = sorted(
-            str(p) for p in directory.iterdir() if p.suffix in (".json", ".txt")
-        )
-        if not paths:
-            _info(f"no .json or .txt arrangement files in {args.path}")
-            return EXIT_INVALID_INPUT
-    else:
-        paths = [args.path]
-
     worst = EXIT_OK
     payloads = []
+    paths, failed = [args.path], {}
+    if args.batch:
+        try:
+            files = Path(args.path).iterdir()
+            paths = sorted(str(p) for p in files if p.suffix in (".json", ".txt"))
+            if not paths:
+                raise ValueError("no .json or .txt arrangement files")
+        except (ValueError, OSError) as err:  # no file to verify: no results, one error
+            paths, failed = [], {"error": str(err)}
+            worst = _failure_code(args.path, err)
     for path in paths:
         try:
             code, payload = _verify_payload(path, args.shear)
@@ -150,11 +147,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         payloads.append(payload)
 
     if args.json:
-        document = payloads[0] if not args.batch else {
-            "results": payloads,
-            "exit_code": worst,
-        }
-        print(json.dumps(document))  # compact: an indent makes json encode in pure Python
+        # compact: an indent makes json encode in pure Python
+        batch = {"results": payloads, "exit_code": worst, **failed}
+        print(json.dumps(batch if args.batch else payloads[0]))
     else:
         for payload in payloads:
             if "relation" in payload:

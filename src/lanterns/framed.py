@@ -70,7 +70,7 @@ class InconsistentDescriptor(ValueError):
 def twist_label(enclosed: Iterable[int]) -> str:
     """Display label for the twist about a curve enclosing these lines."""
     ids = sorted(enclosed)
-    if len(ids) == 2 and all(i <= 9 for i in ids):
+    if len(ids) == 2 and ids[1] <= 9:
         return f"a{ids[0]}{ids[1]}"
     return "a(" + ",".join(str(i) for i in ids) + ")"
 
@@ -92,7 +92,9 @@ class TwistDescriptor:
     O_{k-1}) is enforced here, keeping the algebra and the curve's line set
     in lockstep.  The monodromy and the relation parser build each
     conjugator as a link extending the one checked before it, so each check
-    replays only that link's tail.
+    replays only that link's tail and moves the chain's one order on to
+    its conjugator; a descriptor built later over an older link replays
+    that link's order again, with the same outcome and message.
     """
 
     conjugator: BraidWord

@@ -134,11 +134,6 @@ class Arrangement:
     def n(self) -> int:
         return len(self.lines)
 
-    def line(self, line_id: int) -> Line:
-        if not 1 <= line_id <= self.n:
-            raise ValueError(f"line id {line_id} outside 1..{self.n}")
-        return self.lines[line_id - 1]
-
 
 @dataclass(frozen=True)
 class IntersectionPoint:

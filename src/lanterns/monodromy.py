@@ -116,8 +116,9 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     twist's letters (valid by construction: the descriptor just checked
     the block), a link of one prefix chain that holds the previous
     conjugator rather than its letters, so the descriptors share O(n^2)
-    letters in all, and each check copies the previous order and replays
-    one tail.
+    letters in all, and each check takes the previous conjugator's order
+    over (moved, not copied) and replays one tail: the chain keeps one
+    n-entry order, on the newest conjugator, not one per point.
 
     The twists are a pure function of the immutable arrangement, so they
     are built once per arrangement object and kept in its `__dict__` next

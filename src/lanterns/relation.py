@@ -59,6 +59,9 @@ from typing import Any, Callable
 from .braids import (
     BraidWord,
     FreeWord,
+    _checked_letters,
+    _known,
+    _link,
     artin_image,
     divergent_tails,
     full_twist_block,
@@ -394,10 +397,23 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     One reader serves every schema.  An entry with `"extends": j` (j a
     later entry) gets entry j's conjugator extended by its tail; that is
     the only link between entries, so any other entry (every v1 or v2
-    entry) is spelled as stored.  Each descriptor is checked for
-    consistency, and its label against its enclosed lines.
+    entry) is spelled as stored.  Each entry is checked once: its letters
+    with every other entry's in one bulk check, its consistency by
+    `TwistDescriptor`, and its label against its enclosed lines.  Only a
+    document that fails the bulk check has its letters checked entry by
+    entry, so it is refused at the entry, and with the message, that
+    reading it entry by entry gives.  Along an `"extends"` chain each
+    descriptor check moves the order of the entry it extends on
+    (`BraidWord._strand_order`), so the chain keeps one order.
     """
     conjugators: list[BraidWord] = [BraidWord(n)] * len(entries)
+    try:
+        tails = [entry["conjugator"] for entry in entries]
+        checked = set(map(type, tails)) <= {list}
+        if checked:
+            _checked_letters(n, chain.from_iterable(tails))
+    except (KeyError, TypeError, ValueError):
+        checked = False
     descriptors: list[TwistDescriptor] = []
     for index in reversed(range(len(entries))):
         entry = entries[index]
@@ -409,9 +425,8 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
                     f"rhs[{index}] extends entry {j}, but may extend only a later entry "
                     f"of the {len(entries)}"
                 )
-            word = conjugators[j].extended(letters)
-        else:
-            word = BraidWord(n, letters)
+        letters = tuple(letters) if checked else _checked_letters(n, letters)
+        word = _link(conjugators[j], letters) if "extends" in entry else _known(n, letters)
         conjugators[index] = word
         enclosed = frozenset(_ints(entry["enclosed"], "enclosed"))
         descriptor = TwistDescriptor(word, _pair(entry["block"], "block"), enclosed)

@@ -303,13 +303,37 @@ def test_orders_of_a_deep_chain_match_the_letter_loop(middle_first):
     last, middle = links[-1], links[len(links) // 2]
     words = [middle, last] if middle_first else [last, middle]
     words += [last.inverse(), middle * L.half_twist_block(n, 2, 6) * L.full_twist_block(n, 1, 4)]
+    # interior links read after the tip took their chain's order, and pure words on them
+    words += [links[len(links) // 4], links[-2], links[0], middle * middle.inverse()]
+    words += [links[-2] * links[-2].inverse(), links[len(links) // 4] * L.full_twist_block(n, 1, n)]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(1000)  # the interpreter's default
     try:
         for word in words:
-            assert L.permutation(word) == _reference_permutation(n, word.letters)
+            reference = _reference_permutation(n, word.letters)
+            assert L.permutation(word) == reference
+            assert L.is_pure(word) == (reference == tuple(range(1, n + 1)))
     finally:
         sys.setrecursionlimit(limit)
+    assert L.is_pure(middle * middle.inverse()) and not L.is_pure(last)
+
+
+def test_a_chain_read_link_by_link_keeps_one_order_at_its_newest_link():
+    rng = random.Random(18)
+    n = 6
+    links = [BraidWord(n)]
+    for _ in range(200):
+        links.append(links[-1] * random_braid(rng, n, rng.randint(1, 3)))
+        assert L.permutation(links[-1]) == _reference_permutation(n, links[-1].letters)
+    assert [word for word in links if word._order is not None] == [links[-1]]
+    # A word with several links on it keeps a copy once a replay passes it, so
+    # each of its branches starts there rather than at the chain's root.
+    branch = links[100]
+    twigs = [branch * random_braid(rng, n, 2) for _ in range(3)]
+    for twig in twigs:
+        assert L.permutation(twig) == _reference_permutation(n, twig.letters)
+    assert branch._order is not None and links[99]._order is None
+    assert L.permutation(branch) == _reference_permutation(n, branch.letters)
 
 
 def _reference_rejects(n, letter):
@@ -331,13 +355,12 @@ def test_validator_rejects_exactly_the_reference_letters():
             words = [(letter,)] if n == 1 else [(letter,), (1, letter), (letter, -1)]
             for word in words:
                 rejected = any(_reference_rejects(n, x) for x in word)
-                for build in (BraidWord, lambda n, word: BraidWord(n).extended(word)):
-                    try:
-                        build(n, word)
-                    except ValueError:
-                        assert rejected, (n, word)
-                    else:
-                        assert not rejected, (n, word)
+                try:
+                    BraidWord(n, word)
+                except ValueError:
+                    assert rejected, (n, word)
+                else:
+                    assert not rejected, (n, word)
 
 
 def test_bool_letters_rejected():

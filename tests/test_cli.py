@@ -182,6 +182,19 @@ def test_batch(tmp_path, capsys):
     assert payload["exit_code"] == 2
     assert len(payload["results"]) == 3
 
+    # No file to verify: still one JSON document, through the one error path.
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    for directory in (empty, tmp_path / "a.json"):
+        assert main(["verify", str(directory), "--batch", "--json"]) == 2
+        captured = capsys.readouterr()
+        payload = json.loads(captured.out)
+        assert payload["results"] == [] and payload["exit_code"] == 2 and payload["error"]
+        assert captured.err.startswith(f"{directory}: ")
+        assert main(["verify", str(directory), "--batch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"{directory}: ")
+
 
 def test_selftest(capsys):
     assert main(["selftest", "--seed", "1"]) == 0

@@ -227,3 +227,25 @@ def test_total_monodromy_reuses_the_kept_monodromy(monkeypatch):
     fresh = L.validate_arrangement([(2, 0), (1, 1), (-1, 4)])
     assert L.total_monodromy(fresh).framing == (0, 0, 0)
     assert sorted(calls) == ["half_twist_letters"] * 3 + ["twist_product"]
+
+def test_descriptors_over_links_whose_order_moved_on_check_like_spelled_ones():
+    """The monodromy's checks move each chain order on to the next conjugator.
+
+    A descriptor built by hand over an older conjugator replays its order
+    again: it accepts the same block, and refuses a shifted one with the
+    message a spelled copy of the conjugator gives.
+    """
+    arr, _ = L.shear_to_generic(random_arrangement(random.Random(99), 12, allow_concurrent=False))
+    n = arr.n
+    for twist in L.braid_monodromy(arr).twists[1:-1:5]:
+        d = twist.descriptor
+        assert TwistDescriptor(d.conjugator, d.block, d.enclosed) == d
+        a, b = d.block
+        shifted = (a + 1, b + 1) if b < n else (a - 1, b - 1)
+        refusals = []
+        for conjugator in (d.conjugator, BraidWord(n, d.conjugator.letters)):
+            with pytest.raises(L.InconsistentDescriptor) as refused:
+                TwistDescriptor(conjugator, shifted, d.enclosed)
+            refusals.append(str(refused.value))
+        assert refusals[0] == refusals[1]
+        assert L.permutation(d.conjugator) == L.permutation(BraidWord(n, d.conjugator.letters))
