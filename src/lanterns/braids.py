@@ -23,11 +23,10 @@ A word's strand order (the strand at each position once the word has
 acted) has one derivation: replay the letters after the nearest chain
 prefix whose order is known, from the identity for a spelled word, and
 cache it on the word; products, inverses and block twists compute none.
-The order is moved, not copied, from a prefix with one link on it, so a
-chain whose orders are read link by link (the monodromy's conjugators, a
-parsed `"extends"` chain) keeps one n-entry order, at its newest link,
-and O(n^2) memory where an order per link took O(n^3); a prefix that
-several links extend keeps a copy for the others (`_strand_order`).
+The order is moved, not copied, from that prefix, so a chain whose orders
+are read link by link (the monodromy's conjugators, a parsed `"extends"`
+chain) keeps one n-entry order, at its newest link, and O(n^2) memory
+where an order per link took O(n^3) (`_strand_order`).
 A product is a link of a prefix chain (u, then v's letters as its tail),
 so a word that extends another shares its letters.  Letters are
 validated where they enter a word, by `BraidWord(...)` and by the
@@ -74,11 +73,10 @@ class BraidWord:
     walks back to the nearest link that knows its order; equality, hashing
     and `len` never spell, nothing recurses along a chain, and words are
     immutable.  A chain keeps one strand order, on the newest link whose
-    order was read, plus a copy on each link that several links extend.
+    order was read.
     """
 
-    __slots__ = ("n", "_parent", "_tail", "_length", "_order", "_letters", "_twin", "_links",
-                 "__weakref__")
+    __slots__ = ("n", "_parent", "_tail", "_length", "_order", "_letters", "_twin", "__weakref__")
 
     def __init__(self, n: int, letters: Iterable[int] = ()):
         if n < 1:
@@ -114,32 +112,31 @@ class BraidWord:
     def _strand_order(self) -> tuple[int, ...]:
         """Entry p-1 is the strand at position p once the word has acted.
 
-        The order is replayed from the nearest prefix that knows its order
-        and cached on this word.  It is moved, not copied, from a prefix
-        with one link on it, so a chain read link by link keeps one order,
-        at its newest link.  A prefix with several links on it (a branch
-        point) keeps a copy, and a replay leaves one at every branch point
-        it passes, so each branch starts from there: reading k words that
-        extend one word costs O(k n) plus one replay, not k replays.  An
-        older link of a chain read again is replayed from the chain's root.
+        The order is replayed from the nearest prefix that knows its order,
+        from the identity when none does, and cached on this word.  It is
+        moved, not copied: the prefix gives its order up, so a chain read
+        link by link keeps one order, at its newest link.  Orders are
+        immutable tuples, so a moved order never changes under a caller
+        that holds it; a prefix read again replays from an older prefix.
         """
         order = self._order
         if order is None:
             links = []
-            word, known = self, None
-            while word is not None and (known := word._order) is None:  # read once: reads move it
+            word = self
+            while word is not None and word._order is None:
                 links.append(word)
                 word = word._parent
-            at = list(range(1, self.n + 1) if word is None else known)
-            if word is not None and word._links == 1:  # its one link takes the order on
+            if word is None:
+                at = list(range(1, self.n + 1))
+            else:
+                at = list(word._order)
                 _set(word, "_order", None)
             for link in reversed(links):
                 for letter in link._tail:
                     i = abs(letter)
                     at[i - 1], at[i] = at[i], at[i - 1]
-                if link is self or link._links > 1:  # self comes last
-                    order = tuple(at)
-                    _set(link, "_order", order)
+            order = tuple(at)
+            _set(self, "_order", order)
         return order
 
     def __mul__(self, other: BraidWord) -> BraidWord:
@@ -206,7 +203,6 @@ def _init(word: BraidWord, n: int, parent: BraidWord | None, tail: tuple[int, ..
     _set(word, "_order", None)
     _set(word, "_letters", tail if parent is None else None)
     _set(word, "_twin", None)
-    _set(word, "_links", 0)  # how many links `_link` made on this word
     return word
 
 
@@ -228,7 +224,6 @@ def _link(parent: BraidWord, tail: tuple[int, ...]) -> BraidWord:
     """
     if not tail:
         return parent
-    _set(parent, "_links", parent._links + 1)
     return _init(object.__new__(BraidWord), parent.n, parent, tail)
 
 

@@ -40,8 +40,7 @@ Dehn twist constructors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from operator import add
 from typing import Iterable
 
@@ -86,20 +85,23 @@ class TwistDescriptor:
 
     The curve is the block-enclosing circle on positions a..b pulled back
     through `conjugator`; `enclosed` is the set of line ids the curve
-    separates from the rest, and `label` is read off it.  Consistency
-    (positions a..b of the conjugator's strand order hold exactly the
-    enclosed ids; for the monodromy's beta_k that order is the fiber order
-    O_{k-1}) is enforced here, keeping the algebra and the curve's line set
-    in lockstep.  The monodromy and the relation parser build each
-    conjugator as a link extending the one checked before it, so each check
-    replays only that link's tail and moves the chain's one order on to
-    its conjugator; a descriptor built later over an older link replays
-    that link's order again, with the same outcome and message.
+    separates from the rest, and `label` is read off it once, when the
+    descriptor is built, and kept out of equality, hashing and repr.
+    Consistency (positions a..b of the conjugator's strand order hold
+    exactly the enclosed ids; for the monodromy's beta_k that order is the
+    fiber order O_{k-1}) is enforced here, keeping the algebra and the
+    curve's line set in lockstep.  The monodromy and the relation parser
+    build each conjugator as a link extending the one checked before it,
+    so each check replays only that link's tail and moves the chain's one
+    order on to its conjugator; a descriptor built later over an older
+    link replays that link's order from the nearest prefix that still
+    knows one, with the same outcome and message.
     """
 
     conjugator: BraidWord
     block: tuple[int, int]
     enclosed: frozenset[int]
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.conjugator.n
@@ -123,11 +125,7 @@ class TwistDescriptor:
                 f"conjugator sends lines {sorted(enclosed)} to positions "
                 f"{positions}, not onto [{a}, {b}]"
             )
-
-    @cached_property
-    def label(self) -> str:
-        """Read off `enclosed` once; kept outside equality and repr."""
-        return twist_label(self.enclosed)
+        object.__setattr__(self, "label", twist_label(enclosed))
 
 
 @dataclass(frozen=True)

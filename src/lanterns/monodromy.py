@@ -94,12 +94,7 @@ class PointTwist:
 class MonodromyData:
     """Per-point conjugators, blocks, enclosed sets and twists, rank order."""
 
-    arrangement: Arrangement
     twists: tuple[PointTwist, ...]
-
-    @property
-    def n(self) -> int:
-        return self.arrangement.n
 
 
 def braid_monodromy(arr: Arrangement) -> MonodromyData:
@@ -134,7 +129,7 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
             built.append(PointTwist(point, TwistDescriptor(beta, block, frozenset(point.lines))))
             beta = _link(beta, half_twist_letters(*block))
         twists = arr.__dict__["_twists"] = tuple(built)
-    return MonodromyData(arr, twists)
+    return MonodromyData(twists)
 
 
 def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:

@@ -22,16 +22,16 @@ and acts on the free group as conjugation by the boundary word, so
 (`full_twist_images`) and runs the Artin oracle over the right side alone,
 which still decides.  The relation derives the left side's exponent e and
 framings once, from `lhs`, whose boundary ids it checks when it is built;
-verification, the v1 side check and `lhs_element` all read them.  No
-verification path builds `lhs_element`; it stays a derived property for
-callers.
+verification and `lhs_element` both read them.  No verification path
+builds `lhs_element`; it stays a derived property for callers.
 
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
 (schema `lantern-relation/3`, lossless; `parse_relation` inverts it
-exactly, and still reads schemas 1 and 2, checking a v1 document's stored
-words).  A stored report is compared, not parsed: the parser verifies the
-relation from its factors and the stored report must hold the same
-entries, compared as JSON text.
+exactly, and still reads schema 2, which spells every conjugator in full;
+schema 1, which also stored both side words, is refused).  A stored
+report is compared, not parsed: the parser verifies the relation from its
+factors and the stored report must hold the same entries, compared as
+JSON text.
 
 Schema 3 stores conjugators by reference.  An rhs entry whose conjugator
 extends the next entry's carries `"extends": i + 1`, and its
@@ -40,12 +40,12 @@ writer does so exactly where the next conjugator is a non-empty prefix
 longer than the tail, a rule on the letters alone, so export, parse and
 export give the same bytes.  Along the monodromy's chain
 beta_{k+1} = beta_k * D_k a relation then stores O(n^2) letters, not
-O(n^4).  The parser accepts `"extends": j` for any later entry j, builds
-that entry's conjugator first and extends it, and refuses a reference to
-the entry itself, to an earlier one, or past the end.  `"extends"` is the
-only link the parser makes: an entry without it (every v1 and v2 entry) is
-spelled as stored, which equals the chained conjugator and re-exports to
-the same bytes, because equality and the writer decide on letters.
+O(n^4).  The parser reads what the writer writes: `"extends"` must be
+i + 1, so a parsed document's conjugators form simple chains, and any
+other value is refused, naming the entry.  `"extends"` is the only link
+the parser makes: an entry without it (every v2 entry) is spelled as
+stored, which equals the chained conjugator and re-exports to the same
+bytes, because equality and the writer decide on letters.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ from .framed import FramedElement, TwistDescriptor, boundary_label, twist_produc
 
 JSON_SCHEMA = "lantern-relation/3"
 JSON_SCHEMA_V2 = "lantern-relation/2"
-JSON_SCHEMA_V1 = "lantern-relation/1"
 
 
 class UnknownFormat(ValueError):
@@ -127,7 +126,10 @@ class Relation:
 
     @cached_property
     def _lhs_framing(self) -> tuple[int, tuple[int, ...]]:
-        """e, the sum of d0's exponents, and each line's left framing: e plus its own exponents."""
+        """e, the sum of d0's exponents, and each line's left framing: e plus its own exponents.
+
+        Derived once, from `lhs`; `verify_relation` and `lhs_element` read it.
+        """
         e = 0
         own = [0] * self.n
         for boundary_id, exponent in self.lhs:
@@ -286,10 +288,6 @@ def _pair(values: Any, field: str) -> tuple[int, int]:
     return pair
 
 
-def _element_from_dict(data: dict[str, Any], n: int) -> FramedElement:
-    return FramedElement(BraidWord(n, tuple(data["braid"])), _ints(data["framing"], "framing"))
-
-
 def _report_dict(report: VerificationReport) -> dict[str, Any]:
     witness = None
     if report.witness is not None:
@@ -365,48 +363,22 @@ def export_relation(relation: Relation, fmt: str) -> str:
     raise UnknownFormat(f"unknown relation format {fmt!r} (expected text, latex, or json)")
 
 
-def _check_v1_sides(data: dict[str, Any], relation: Relation) -> None:
-    """Each side word a v1 document stored must equal the derived side.
-
-    The words are compared in the group, not letter by letter: exports
-    written before products were freely reduced spell the same elements
-    with longer words.  A stored word equals a side when its framing and
-    its Artin images do; the left side's images are the closed form
-    `verify_relation` uses.
-    """
-    n = relation.n
-    e, lhs_framing = relation._lhs_framing
-    rhs = relation.rhs_element
-    sides = {
-        "lhs": (lhs_framing, full_twist_images(n, e)),
-        "rhs": (rhs.framing, artin_image(rhs.braid)),
-    }
-    report = data.get("report") or {}
-    for side, (framing, images) in sides.items():
-        stored = data[f"{side}_element"]
-        copy = report.get(side, stored)  # a report repeated each side's word
-        for entry in (stored,) if copy == stored else (stored, copy):
-            element = _element_from_dict(entry, n)
-            if element.framing != framing or artin_image(element.braid) != images:
-                raise ValueError(f"stored {side} word is not the product of its factors")
-
-
 def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]:
     """The rhs descriptors, read from the last entry back; every letter validated.
 
-    One reader serves every schema.  An entry with `"extends": j` (j a
-    later entry) gets entry j's conjugator extended by its tail; that is
-    the only link between entries, so any other entry (every v1 or v2
-    entry) is spelled as stored.  Each entry is checked once: its letters
-    with every other entry's in one bulk check, its consistency by
-    `TwistDescriptor`, and its label against its enclosed lines.  Only a
-    document that fails the bulk check has its letters checked entry by
-    entry, so it is refused at the entry, and with the message, that
-    reading it entry by entry gives.  Along an `"extends"` chain each
-    descriptor check moves the order of the entry it extends on
-    (`BraidWord._strand_order`), so the chain keeps one order.
+    One reader serves schemas 2 and 3.  An entry with `"extends": i + 1`
+    gets the following entry's conjugator extended by its tail; that is
+    the only link between entries, so any other entry (every v2 entry) is
+    spelled as stored, and any other `"extends"` value is refused.  Each
+    entry is checked once: its letters with every other entry's in one
+    bulk check, its consistency by `TwistDescriptor`, and its label against
+    its enclosed lines.  Only a document that fails the bulk check has its
+    letters checked entry by entry, so it is refused at the entry, and
+    with the message, that reading it entry by entry gives.  Along an
+    `"extends"` chain each descriptor check moves the order of the entry
+    it extends on (`BraidWord._strand_order`), so the chain keeps one
+    order.
     """
-    conjugators: list[BraidWord] = [BraidWord(n)] * len(entries)
     try:
         tails = [entry["conjugator"] for entry in entries]
         checked = set(map(type, tails)) <= {list}
@@ -415,19 +387,20 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     except (KeyError, TypeError, ValueError):
         checked = False
     descriptors: list[TwistDescriptor] = []
+    following = None  # the conjugator of entry index + 1
     for index in reversed(range(len(entries))):
         entry = entries[index]
         letters = entry["conjugator"]
         if "extends" in entry:
             j = _int(entry["extends"], f"rhs[{index}].extends")
-            if not index < j < len(entries):
+            if j != index + 1 or j == len(entries):
                 raise ValueError(
-                    f"rhs[{index}] extends entry {j}, but may extend only a later entry "
+                    f"rhs[{index}] extends entry {j}, but may extend only the next entry "
                     f"of the {len(entries)}"
                 )
         letters = tuple(letters) if checked else _checked_letters(n, letters)
-        word = _link(conjugators[j], letters) if "extends" in entry else _known(n, letters)
-        conjugators[index] = word
+        word = _link(following, letters) if "extends" in entry else _known(n, letters)
+        following = word
         enclosed = frozenset(_ints(entry["enclosed"], "enclosed"))
         descriptor = TwistDescriptor(word, _pair(entry["block"], "block"), enclosed)
         if entry["label"] != descriptor.label:
@@ -444,26 +417,25 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
 
     A stored report is not parsed: the relation is verified from its
     factors, and the stored report must hold the entries `_report_dict`
-    writes for the result, compared as JSON text (so `1` is not `true`),
-    as a v1 document's stored words must agree with the derived sides.
+    writes for the result, compared as JSON text (so `1` is not `true`).
     """
     if not isinstance(data, dict):
         raise ValueError(f"a relation document is a JSON object, not {type(data).__name__}")
     schema = data.get("schema")
-    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V2, JSON_SCHEMA_V1):
+    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V2):
         raise ValueError(f"unsupported relation schema {schema!r}")
     try:
         name, n = data["name"], _int(data["n"], "n")
         if type(name) is not str:
             raise ValueError(f"name must be a JSON string, got {name!r}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
         relation = Relation(
             name=name,
             n=n,
             lhs=tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"])),
             rhs=tuple(_descriptors(data["rhs"], n)),
         )
-        if schema == JSON_SCHEMA_V1:
-            _check_v1_sides(data, relation)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {schema} document: {exc!r}") from exc
     stored = data.get("report")

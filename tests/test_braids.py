@@ -85,6 +85,8 @@ def test_letters_out_of_range_rejected():
         BraidWord(3, (0,))
     with pytest.raises(ValueError):
         BraidWord(1, (1,))
+    with pytest.raises(ValueError, match="strand count"):
+        BraidWord(0)
 
 
 def test_braid_relations_all_small_n():
@@ -326,13 +328,13 @@ def test_a_chain_read_link_by_link_keeps_one_order_at_its_newest_link():
         links.append(links[-1] * random_braid(rng, n, rng.randint(1, 3)))
         assert L.permutation(links[-1]) == _reference_permutation(n, links[-1].letters)
     assert [word for word in links if word._order is not None] == [links[-1]]
-    # A word with several links on it keeps a copy once a replay passes it, so
-    # each of its branches starts there rather than at the chain's root.
+    # Twigs on an interior link replay from the chain's root and leave no
+    # order on the chain: only the newest link keeps the one it had.
     branch = links[100]
     twigs = [branch * random_braid(rng, n, 2) for _ in range(3)]
     for twig in twigs:
         assert L.permutation(twig) == _reference_permutation(n, twig.letters)
-    assert branch._order is not None and links[99]._order is None
+    assert [word for word in links if word._order is not None] == [links[-1]]
     assert L.permutation(branch) == _reference_permutation(n, branch.letters)
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import lanterns as L
-from lanterns.files import ArrangementFileError, parse_rational
+from lanterns.files import ArrangementFileError, parse_arrangement_json, parse_rational
 
 
 def test_parse_rational():
@@ -51,6 +51,20 @@ def test_parse_json():
 def test_parse_json_rejects_numbers():
     with pytest.raises(ArrangementFileError):
         L.parse_arrangement('{"lines": [{"slope": 2, "intercept": "0"}]}')
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('["lines"]', "must be an object"),
+        ('{"line": []}', 'with a "lines" key'),
+        ('{"lines": [{"slope": "1", "intercept": "0", "name": 7}]}', r"lines\[0\]\.name"),
+    ],
+    ids=["top-level-list", "no-lines-key", "name-not-a-string"],
+)
+def test_malformed_json_arrangements_rejected(text, message):
+    with pytest.raises(ArrangementFileError, match=message):
+        parse_arrangement_json(text)
 
 
 def test_parse_json_syntax_error_carries_position():

@@ -37,6 +37,21 @@ def test_validate_rejects_floats():
         L.validate_arrangement([(0.5, 0), (1, 1)])
 
 
+@pytest.mark.parametrize(
+    "entries, error",
+    [
+        ([(1,)], ValueError),
+        ([(1, 0, "a", "b")], ValueError),
+        ([(1, 0, 7)], TypeError),
+        ([], ValueError),
+    ],
+    ids=["one-field", "four-fields", "name-not-a-string", "no-lines"],
+)
+def test_validate_rejects_malformed_entries(entries, error):
+    with pytest.raises(error):
+        L.validate_arrangement(entries)
+
+
 def test_validate_accepts_strings_and_fractions():
     arr = L.validate_arrangement([("1/2", "3"), (Fraction(-2, 3), 0)])
     assert arr.lines[0].slope == Fraction(1, 2)

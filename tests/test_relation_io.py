@@ -164,52 +164,29 @@ def test_deeply_nested_relation_document_raises_value_error():
         L.parse_relation("[" * depth + "]" * depth)
 
 
-def _v1_dict(relation, rhs_letters):
-    """`relation` as a lantern-relation/1 document, right side spelled `rhs_letters`."""
-    data = L.relation_to_dict(relation)
-    data["schema"] = "lantern-relation/1"
-    lhs = {
-        "braid": list(relation.lhs_element.braid.letters),
-        "framing": list(relation.lhs_element.framing),
-    }
-    rhs = {"braid": list(rhs_letters), "framing": list(relation.rhs_element.framing)}
-    data["lhs_element"], data["rhs_element"] = lhs, rhs
-    data["report"].update(lhs=lhs, rhs=rhs)
-    return data
-
-
-def test_v1_unreduced_export_still_parses():
-    relation = L.verified_relation(L.make_daisy(5))
-    unreduced = [x for d in relation.rhs for x in L.conjugated_twist(d).braid.letters]
-    assert len(unreduced) > len(relation.rhs_element.braid)
-    parsed = L.parse_relation(json.dumps(_v1_dict(relation, unreduced)))
-    assert parsed == relation
-    assert parsed.report.verified
-
-
-def test_v1_stored_word_must_match_factors(worked):
-    relation = L.verified_relation(worked)
-    swapped = _v1_dict(relation, relation.rhs_element.braid.letters)
-    swapped["rhs"][0], swapped["rhs"][1] = swapped["rhs"][1], swapped["rhs"][0]
-    with pytest.raises(ValueError, match="not the product of its factors"):
-        L.parse_relation(json.dumps(swapped))
-
-    # the report's copy of a side is checked too
-    stale_copy = _v1_dict(relation, relation.rhs_element.braid.letters)
-    stale_copy["report"]["rhs"] = {"braid": [], "framing": [2, 2, 2]}
-    with pytest.raises(ValueError, match="not the product of its factors"):
-        L.parse_relation(json.dumps(stale_copy))
-
-
 def test_unknown_format(worked):
     relation = L.lantern_relation(worked)
     with pytest.raises(L.UnknownFormat):
         L.export_relation(relation, "yaml")
 
 
-def test_bad_schema_rejected():
-    with pytest.raises(ValueError):
-        L.parse_relation('{"schema": "something-else/9"}')
+def test_bad_schema_rejected(worked):
+    """Schema 1, which also stored both side words, is refused like an unknown schema.
+
+    Its stored right word is never evaluated: an Artin check of
+    `[1, -2] * 18` would grow images exponentially in the word length.
+    """
+    relation = L.verified_relation(worked)
+    v1 = L.relation_to_dict(relation)
+    v1["schema"] = "lantern-relation/1"
+    v1["lhs_element"] = {
+        "braid": list(relation.lhs_element.braid.letters),
+        "framing": list(relation.lhs_element.framing),
+    }
+    v1["rhs_element"] = {"braid": [1, -2] * 18, "framing": list(relation.rhs_element.framing)}
+    for document in ({"schema": "something-else/9"}, v1):
+        with pytest.raises(ValueError, match="unsupported relation schema"):
+            L.parse_relation(json.dumps(document))
 
 
 def test_export_determinism(worked):
@@ -233,7 +210,10 @@ def _assign(data, path, value):
         (("lhs", 1, 0), True),
         (("n",), 3.7),
         (("n",), "3"),
+        (("n",), 0),
+        (("n",), -3),
         (("rhs", 1, "block", 0), True),
+        (("rhs", 1, "block"), [1, 2, 3]),
         (("rhs", 0, "enclosed", 0), True),
         (("report", "braid_ok"), 1),
     ],
@@ -243,7 +223,10 @@ def _assign(data, path, value):
         "lhs-boundary-true",
         "n-float",
         "n-string",
+        "n-zero",
+        "n-negative",
         "block-true",
+        "block-of-three",
         "enclosed-true",
         "report-flag-int",
     ],
@@ -340,6 +323,7 @@ def test_v3_writer_decides_on_letters_not_on_construction():
         (("rhs", 0, "extends"), 0),
         (("rhs", 1, "extends"), 0),
         (("rhs", 0, "extends"), 11),
+        (("rhs", 0, "extends"), 2),
         (("rhs", 0, "extends"), True),
         (("rhs", 0, "extends"), 1.0),
         (("rhs", 0, "extends"), "1"),
@@ -350,6 +334,7 @@ def test_v3_writer_decides_on_letters_not_on_construction():
         "self",
         "earlier",
         "past-the-end",
+        "past-the-next-entry",
         "true",
         "float",
         "string",
@@ -368,54 +353,20 @@ def test_v3_references_are_checked(path, value):
 
 def test_v3_reference_to_a_wrong_conjugator_fails_the_descriptor_check():
     data = json.loads(L.export_relation(L.lantern_relation(L.make_doubled_daisy(6)), "json"))
-    data["rhs"][0]["extends"] = 2
+    first = data["rhs"][0]
+    assert first["extends"] == 1 and first["conjugator"] == [2]
+    first["conjugator"] = [1]
     with pytest.raises(L.InconsistentDescriptor):
         L.parse_relation(json.dumps(data))
 
 
-def _parse_outcome(document):
-    try:
-        L.parse_relation(json.dumps(document))
-    except ValueError as exc:
-        return f"{type(exc).__name__}: {exc}"
-    return "parsed"
-
-
-def _unchained(document):
-    """The document with every conjugator spelled in full: no chain, so no order moves."""
-    spelled = json.loads(json.dumps(document))
-    entries = spelled["rhs"]
-    for entry in reversed(entries):
-        if "extends" in entry:
-            entry["conjugator"] = entries[entry.pop("extends")]["conjugator"] + entry["conjugator"]
-    return spelled
-
-
-def test_references_into_the_middle_of_a_chain_keep_their_refusals():
-    """Entry i pointed at entry i + 2, which entry i + 1 extends too.
-
-    Entry i + 2 becomes a branch point of the chain; every outcome, and
-    every refusal message, is that of the same document spelled in full.
-    """
-    arr, _ = L.shear_to_generic(random_arrangement(random.Random(99), 9, allow_concurrent=False))
-    outcomes = []
-    for relation in (L.lantern_relation(L.make_doubled_daisy(6)), L.lantern_relation(arr)):
-        data = json.loads(L.export_relation(relation, "json"))
-        for i in range(len(data["rhs"]) - 2):
-            if data["rhs"][i].get("extends") == i + 1:
-                document = json.loads(json.dumps(data))
-                document["rhs"][i]["extends"] = i + 2
-                outcomes.append(_parse_outcome(document))
-                assert outcomes[-1] == _parse_outcome(_unchained(document))
-    assert sum(o.startswith("InconsistentDescriptor: conjugator sends") for o in outcomes) >= 10
-
-
 def test_entries_extending_one_entry_parse_in_linear_time():
-    """Each branch on a shared entry starts from that entry's order, not from the identity.
+    """A document whose entries all extend one entry is refused at once.
 
-    2,000 one-letter entries extend one entry of 20,000 letters.  Were each
-    branch replayed from the chain's root, the parse would take 40 million
-    letter steps (3.5 s); it takes about 0.05 s.
+    2,000 one-letter entries extend one entry of 20,000 letters.  Only the
+    next entry may be extended, so the parser stops at the first entry that
+    extends another; when every such branch was built and replayed from the
+    chain's root, the parse took 40 million letter steps (3.5 s).
     """
     n, rng = 5, random.Random(38)
     root = [rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(20_000)]
@@ -436,10 +387,11 @@ def test_entries_extending_one_entry_parse_in_linear_time():
         "rhs": entries,
         "report": None,
     }
+    text = json.dumps(document)
     start = time.perf_counter()
-    relation = L.parse_relation(json.dumps(document))
-    assert time.perf_counter() - start < 1.0
-    assert relation.rhs[7].conjugator.letters == tuple(root) + tuple(entries[7]["conjugator"])
+    with pytest.raises(ValueError, match=r"rhs\[1998\] extends entry 2000"):
+        L.parse_relation(text)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_a_relation_keeps_one_strand_order_per_chain():
@@ -469,20 +421,6 @@ def test_a_relation_keeps_one_strand_order_per_chain():
     parsed, size = traced(lambda: L.parse_relation(text))
     assert relation.report.verified and parsed.report.verified
     assert kept < 1.6e6 and size < 1.75e6, (kept, size)
-
-
-def test_v3_reference_past_the_next_entry_parses_to_the_same_relation():
-    relation = L.verified_relation(L.make_doubled_daisy(6))
-    text = L.export_relation(relation, "json")
-    data = json.loads(text)
-    first, second = data["rhs"][0], data["rhs"][1]
-    assert first["extends"] == 1 and second["extends"] == 2
-    first["extends"] = 2
-    first["conjugator"] = second["conjugator"] + first["conjugator"]
-    parsed = L.parse_relation(json.dumps(data))
-    assert parsed == relation and parsed.report.verified
-    assert L.verify_relation(parsed).verified
-    assert L.export_relation(parsed, "json") == text
 
 
 def test_swapped_v3_entries_never_verify():
