@@ -96,6 +96,7 @@ from .relation import (
     export_relation,
     parse_relation,
     relation_to_dict,
+    relation_to_v3_dict,
 )
 from .svgplot import render_arrangement_svg
 

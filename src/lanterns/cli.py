@@ -52,7 +52,7 @@ from .geometry import (
     shear_to_generic,
 )
 from .monodromy import total_monodromy, verified_relation
-from .relation import export_relation, relation_to_dict
+from .relation import Relation, export_relation, format_text, relation_to_dict
 from .svgplot import render_arrangement_svg
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def _load(path: str, shear: bool) -> tuple[Arrangement, Fraction]:
     return sheared, t
 
 
-def _verify_payload(path: str, shear: bool) -> tuple[int, dict]:
+def _verify_payload(path: str, shear: bool) -> tuple[int, dict, Relation]:
     arr, t = _load(path, shear)
     relation = verified_relation(arr)
     code = EXIT_OK if relation.report.verified else EXIT_RELATION_FAILED
@@ -104,15 +104,14 @@ def _verify_payload(path: str, shear: bool) -> tuple[int, dict]:
         "shear_t": str(t) if t != 0 else None,
         "relation": relation_to_dict(relation),
     }
-    return code, payload
+    return code, payload, relation
 
 
-def _print_verify_human(payload: dict) -> None:
-    relation = payload["relation"]
-    print(f"{payload['file']}: {relation['text']}")
-    report = relation["report"]
-    print(f"  braid part: {'equal' if report['braid_ok'] else 'DIFFERENT'}")
-    print(f"  framings:   {'equal' if report['framing_ok'] else 'DIFFERENT'}")
+def _print_verify_human(payload: dict, relation: Relation) -> None:
+    print(f"{payload['file']}: {format_text(relation)}")
+    report = relation.report
+    print(f"  braid part: {'equal' if report.braid_ok else 'DIFFERENT'}")
+    print(f"  framings:   {'equal' if report.framing_ok else 'DIFFERENT'}")
     if payload["shear_t"]:
         print(f"  shear t:    {payload['shear_t']}")
     if payload["verified"]:
@@ -120,13 +119,13 @@ def _print_verify_human(payload: dict) -> None:
     else:
         print("  NOT VERIFIED - for valid input this indicates a library bug;")
         print("  the witness below separates the two sides in the free group")
-        if report["witness"]:
-            print(f"  witness generator: x_{report['witness']['generator']}")
+        if report.witness:
+            print(f"  witness generator: x_{report.witness.generator}")
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     worst = EXIT_OK
-    payloads = []
+    results = []  # (payload, the relation or None)
     paths, failed = [args.path], {}
     if args.batch:
         try:
@@ -138,22 +137,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
             paths, failed = [], {"error": str(err)}
             worst = _failure_code(args.path, err)
     for path in paths:
+        relation = None
         try:
-            code, payload = _verify_payload(path, args.shear)
+            code, payload, relation = _verify_payload(path, args.shear)
         except (*LIBRARY_BUGS, ValueError, OSError) as err:
             code = _failure_code(path, err)
             payload = {"file": path, "verified": False, "exit_code": code, "error": str(err)}
         worst = max(worst, code)
-        payloads.append(payload)
+        results.append((payload, relation))
 
     if args.json:
         # compact: an indent makes json encode in pure Python
+        payloads = [payload for payload, _ in results]
         batch = {"results": payloads, "exit_code": worst, **failed}
         print(json.dumps(batch if args.batch else payloads[0]))
     else:
-        for payload in payloads:
-            if "relation" in payload:
-                _print_verify_human(payload)
+        for payload, relation in results:
+            if relation is not None:
+                _print_verify_human(payload, relation)
             else:
                 print(f"{payload['file']}: ERROR (exit {payload['exit_code']})")
     return worst

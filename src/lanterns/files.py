@@ -20,7 +20,9 @@ from pathlib import Path
 
 from .geometry import Arrangement, validate_arrangement
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+# ASCII digits only: `\d` also matches other scripts' digits, which
+# `Fraction` would read as numbers.
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(/[1-9][0-9]*)?$")
 
 
 class ArrangementFileError(ValueError):

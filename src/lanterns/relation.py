@@ -26,26 +26,40 @@ verification and `lhs_element` both read them.  No verification path
 builds `lhs_element`; it stays a derived property for callers.
 
 Exports: `text` (ASCII, one line), `latex` (display math), `json`
-(schema `lantern-relation/3`, lossless; `parse_relation` inverts it
-exactly, and still reads schema 2, which spells every conjugator in full;
-schema 1, which also stored both side words, is refused).  A stored
-report is compared, not parsed: the parser verifies the relation from its
-factors and the stored report must hold the same entries, compared as
-JSON text.
+(lossless; `parse_relation` inverts it exactly).  A stored report is
+compared, not parsed: the parser verifies the relation from its factors
+and the stored report must hold the same entries, compared as JSON text.
 
-Schema 3 stores conjugators by reference.  An rhs entry whose conjugator
-extends the next entry's carries `"extends": i + 1`, and its
-`"conjugator"` lists only the tail beyond that entry's conjugator; the
-writer does so exactly where the next conjugator is a non-empty prefix
-longer than the tail, a rule on the letters alone, so export, parse and
-export give the same bytes.  Along the monodromy's chain
-beta_{k+1} = beta_k * D_k a relation then stores O(n^2) letters, not
-O(n^4).  The parser reads what the writer writes: `"extends"` must be
-i + 1, so a parsed document's conjugators form simple chains, and any
-other value is refused, naming the entry.  `"extends"` is the only link
-the parser makes: an entry without it (every v2 entry) is spelled as
-stored, which equals the chained conjugator and re-exports to the same
-bytes, because equality and the writer decide on letters.
+Schema `lantern-relation/4` stores the block sequence.  A relation read
+off an arrangement is fixed by its sweep (Goodman & Pollack's allowable
+sequence) and its left side: point k's conjugator is H_1 ... H_(k-1),
+H_j the half twist of block j, and its enclosed lines are the lines at
+block k in the order before point k.  The document holds `n`, `lhs`
+(boundary ids 0..n once each, in order, with their exponents) and
+`blocks`, in sweep order from the basepoint; the rhs is their reverse.
+The parser replays the blocks once: the order starts 1..n, each block's
+lines, read top to bottom before it acts, must be increasing (or a pair
+crosses twice), and the final order must be n..1 (or a pair never
+crossed).  That check takes O(n + sum of block sizes) time and O(n)
+memory; the descriptors are then built along one conjugator chain, each
+still checked by `TwistDescriptor`.  The writer uses schema 4 exactly
+when the rhs is such a replay and the lhs has that form, decided on the
+letters, so export, parse and export give the same bytes.
+
+Any other relation (a hand-built one: reordered factors, a left side in
+another order) is written in schema `lantern-relation/3`
+(`relation_to_v3_dict`), which stores each conjugator by reference.  An
+rhs entry whose conjugator extends the next entry's carries
+`"extends": i + 1`, and its `"conjugator"` lists only the tail beyond
+that entry's conjugator; the writer does so exactly where the next
+conjugator is a non-empty prefix longer than the tail, again a rule on
+the letters alone.  The parser reads what the writer writes: `"extends"`
+must be i + 1, and any other value is refused, naming the entry.
+`"extends"` is the only link the parser makes: an entry without it
+(every schema-2 entry) is spelled as stored, which equals the chained
+conjugator and re-exports to the same bytes.  Schema 2, which spells
+every conjugator in full, still parses; schema 1, which also stored both
+side words, is refused.
 """
 
 from __future__ import annotations
@@ -65,11 +79,13 @@ from .braids import (
     artin_image,
     divergent_tails,
     full_twist_block,
+    half_twist_letters,
     reduced_product,
 )
 from .framed import FramedElement, TwistDescriptor, boundary_label, twist_product
 
-JSON_SCHEMA = "lantern-relation/3"
+JSON_SCHEMA = "lantern-relation/4"
+JSON_SCHEMA_V3 = "lantern-relation/3"
 JSON_SCHEMA_V2 = "lantern-relation/2"
 
 
@@ -275,6 +291,8 @@ def _int(value: Any, field: str) -> int:
 
 
 def _ints(values: Any, field: str) -> tuple[int, ...]:
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{field} must be a JSON list")
     values = tuple(values)
     if not set(map(type, values)) <= {int}:
         raise ValueError(f"{field} must hold JSON integers only")
@@ -304,21 +322,31 @@ def _report_dict(report: VerificationReport) -> dict[str, Any]:
     }
 
 
-def _extension(word: BraidWord, prefix: BraidWord) -> tuple[int, ...] | None:
-    """The tail t with word = prefix * t, when `prefix` is non-empty and longer than t.
+def _tail(word: BraidWord, prefix: BraidWord) -> tuple[int, ...] | None:
+    """The tail t with word = prefix * t; None when `prefix` is not a prefix of `word`.
 
-    Decided on the letters: a word built as a link of `prefix` yields its
-    tails without spelling either word, any other pair is compared letter
-    by letter.
+    Decided on the letters: a link of `prefix`'s chain yields its tails
+    without spelling either word, any other pair is compared letter by
+    letter.
     """
+    if word._parent is prefix:  # the monodromy's and the parsers' chains
+        return word._tail
     k = len(prefix)
-    if not 0 < k or 2 * k <= len(word):
+    if k > len(word):
         return None
     ours, theirs = divergent_tails(word, prefix)
     if not theirs:
         return tuple(chain.from_iterable(reversed(ours)))
     letters = word.letters
     return letters[k:] if letters[:k] == prefix.letters else None
+
+
+def _extension(word: BraidWord, prefix: BraidWord) -> tuple[int, ...] | None:
+    """The tail t with word = prefix * t, when `prefix` is non-empty and longer than t."""
+    k = len(prefix)
+    if not 0 < k or 2 * k <= len(word):
+        return None
+    return _tail(word, prefix)
 
 
 def _entry_dict(rhs: tuple[TwistDescriptor, ...], index: int) -> dict[str, Any]:
@@ -335,14 +363,83 @@ def _entry_dict(rhs: tuple[TwistDescriptor, ...], index: int) -> dict[str, Any]:
     return entry
 
 
-def relation_to_dict(relation: Relation) -> dict[str, Any]:
+def relation_to_v3_dict(relation: Relation) -> dict[str, Any]:
+    """The schema-3 document: every rhs entry, its conjugator stored by reference."""
     return {
-        "schema": JSON_SCHEMA,
+        "schema": JSON_SCHEMA_V3,
         "name": relation.name,
         "n": relation.n,
         "text": format_text(relation),
         "lhs": [[boundary_id, exponent] for boundary_id, exponent in relation.lhs],
         "rhs": [_entry_dict(relation.rhs, index) for index in range(len(relation.rhs))],
+        "report": None if relation.report is None else _report_dict(relation.report),
+    }
+
+
+def _sweep(blocks: list[tuple[int, int]], n: int) -> list[frozenset[int]]:
+    """Each block's enclosed lines, replaying the blocks as a wiring diagram.
+
+    The order starts 1..n.  Block [a, b] needs 1 <= a < b <= n, and its
+    lines at positions a..b, read top to bottom, must be increasing, since
+    a pair that crossed reads decreasing and may not cross again; the
+    block then reverses them.  The final order must be n..1, or some pair
+    never crossed.  A block that breaks a rule raises `ValueError` naming
+    `blocks[i]`.  O(n + sum of block sizes) time, O(n) memory.
+    """
+    at = list(range(1, n + 1))
+    enclosed = []
+    for i, (a, b) in enumerate(blocks):
+        if not 1 <= a < b <= n:
+            raise ValueError(f"blocks[{i}] is [{a}, {b}], not a block of two or more in 1..{n}")
+        lines = at[a - 1 : b]
+        if sorted(lines) != lines:
+            up, down = next((x, y) for x, y in zip(lines, lines[1:]) if x > y)
+            raise ValueError(f"blocks[{i}] crosses lines {down} and {up} a second time")
+        lines.reverse()
+        at[a - 1 : b] = lines
+        enclosed.append(frozenset(lines))
+    if at != list(range(n, 0, -1)):
+        p = next(p for p in range(n - 1) if at[p] < at[p + 1])
+        raise ValueError(f"blocks leave lines {at[p]} and {at[p + 1]} uncrossed")
+    return enclosed
+
+
+def _replayed_blocks(relation: Relation) -> list[tuple[int, int]] | None:
+    """The blocks, in sweep order, whose replay is `relation`; None if there are none.
+
+    The rhs, read from its end, must be a wiring diagram's replay: the
+    first conjugator is empty, each later one is the one before it times
+    the half twist of that one's block, and `_sweep` accepts the blocks.
+    The lhs must list boundary ids 0..n once each, in order.
+    """
+    n, lhs = relation.n, relation.lhs
+    if len(lhs) != n + 1 or any(boundary_id != i for i, (boundary_id, _) in enumerate(lhs)):
+        return None
+    sweep = relation.rhs[::-1]
+    blocks = [d.block for d in sweep]
+    try:
+        _sweep(blocks, n)
+    except ValueError:
+        return None
+    previous, tail = BraidWord(n), ()
+    for d in sweep:
+        if _tail(d.conjugator, previous) != tail:
+            return None
+        previous, tail = d.conjugator, half_twist_letters(*d.block)
+    return blocks
+
+
+def relation_to_dict(relation: Relation) -> dict[str, Any]:
+    """The schema-4 document when the relation replays its blocks, else schema 3's."""
+    blocks = _replayed_blocks(relation)
+    if blocks is None:
+        return relation_to_v3_dict(relation)
+    return {
+        "schema": JSON_SCHEMA,
+        "name": relation.name,
+        "n": relation.n,
+        "lhs": [[boundary_id, exponent] for boundary_id, exponent in relation.lhs],
+        "blocks": [[a, b] for a, b in blocks],
         "report": None if relation.report is None else _report_dict(relation.report),
     }
 
@@ -412,6 +509,36 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     return descriptors[::-1]
 
 
+def _replay(
+    data: dict[str, Any], n: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[TwistDescriptor, ...]]:
+    """A schema-4 document's lhs and rhs: the blocks replayed along one conjugator chain.
+
+    The lhs is checked first, so nothing of size n is allocated before
+    the lhs lists boundaries 0..n.  The blocks are then checked by
+    `_sweep`, before any braid is built.  beta starts empty; block k
+    encloses the lines `_sweep` found at it, and beta then moves on by
+    block k's half twist, except after the last block.
+    """
+    lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"]))
+    for i, (boundary_id, _) in enumerate(lhs):
+        if boundary_id != i:
+            raise ValueError(
+                f"lhs[{i}] names boundary {boundary_id}, not {i}: "
+                f"{JSON_SCHEMA} lists boundaries 0..{n} once each, in order"
+            )
+    if len(lhs) != n + 1:
+        raise ValueError(f"lhs lists {len(lhs)} boundaries, not the {n + 1} of 0..{n}")
+    blocks = [_pair(block, f"blocks[{i}]") for i, block in enumerate(data["blocks"])]
+    beta = BraidWord(n)
+    descriptors = []
+    for k, (block, enclosed) in enumerate(zip(blocks, _sweep(blocks, n))):
+        if k:
+            beta = _link(beta, half_twist_letters(*blocks[k - 1]))
+        descriptors.append(TwistDescriptor(beta, block, enclosed))
+    return lhs, tuple(reversed(descriptors))
+
+
 def relation_from_dict(data: dict[str, Any]) -> Relation:
     """Inverse of `relation_to_dict`; raises `ValueError` on any bad document.
 
@@ -422,7 +549,7 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
     if not isinstance(data, dict):
         raise ValueError(f"a relation document is a JSON object, not {type(data).__name__}")
     schema = data.get("schema")
-    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V2):
+    if schema not in (JSON_SCHEMA, JSON_SCHEMA_V3, JSON_SCHEMA_V2):
         raise ValueError(f"unsupported relation schema {schema!r}")
     try:
         name, n = data["name"], _int(data["n"], "n")
@@ -430,12 +557,12 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
             raise ValueError(f"name must be a JSON string, got {name!r}")
         if n < 1:
             raise ValueError(f"n must be at least 1, got {n}")
-        relation = Relation(
-            name=name,
-            n=n,
-            lhs=tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"])),
-            rhs=tuple(_descriptors(data["rhs"], n)),
-        )
+        if schema == JSON_SCHEMA:
+            lhs, rhs = _replay(data, n)
+        else:
+            lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"]))
+            rhs = tuple(_descriptors(data["rhs"], n))
+        relation = Relation(name=name, n=n, lhs=lhs, rhs=rhs)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {schema} document: {exc!r}") from exc
     stored = data.get("report")

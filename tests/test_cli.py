@@ -57,7 +57,7 @@ def test_verify_json_stdout_is_pure(tmp_path, capsys):
     captured = capsys.readouterr()
     payload = json.loads(captured.out)  # the whole stdout is one document
     assert payload["verified"] is True
-    assert payload["relation"]["schema"] == "lantern-relation/3"
+    assert payload["relation"]["schema"] == "lantern-relation/4"
     assert payload["shear_t"] is not None
     assert "applied shear" in captured.err
 
@@ -74,6 +74,18 @@ def test_every_shear_option_has_its_help_line(command, capsys):
 def test_verify_missing_file_exits_2(tmp_path, capsys):
     assert main(["verify", str(tmp_path / "absent.json")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("digit", ["\u0661", "\uff11"], ids=["arabic-indic", "fullwidth"])
+def test_non_ascii_digits_exit_2(tmp_path, capsys, digit):
+    text, document = tmp_path / "digits.txt", tmp_path / "digits.json"
+    text.write_text(f"{digit} 2\n3 4\n", encoding="utf-8")
+    lines = [{"slope": digit, "intercept": "2"}, {"slope": "3", "intercept": "4"}]
+    document.write_text(json.dumps({"lines": lines}, ensure_ascii=False), encoding="utf-8")
+    for path, where in ((text, "line 1"), (document, "lines[0].slope")):
+        assert main(["verify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "bad rational" in err and where in err and str(path) in err
 
 
 def test_verify_single_line_file_exits_2(tmp_path, capsys):

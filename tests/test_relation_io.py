@@ -57,14 +57,16 @@ def test_json_round_trip_failed_report(worked):
 
 
 def test_v2_export_stores_no_words(worked):
-    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
-    assert data["schema"] == "lantern-relation/3"
-    assert "lhs_element" not in data and "rhs_element" not in data
-    assert "lhs" not in data["report"] and "rhs" not in data["report"]
+    relation = L.verified_relation(worked)
+    data = json.loads(L.export_relation(relation, "json"))
+    assert data["schema"] == "lantern-relation/4"
+    for document in (data, L.relation_to_v3_dict(relation)):
+        assert "lhs_element" not in document and "rhs_element" not in document
+        assert "lhs" not in document["report"] and "rhs" not in document["report"]
 
 
 def test_swapped_factor_json_does_not_verify(worked):
-    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data = L.relation_to_v3_dict(L.verified_relation(worked))
     data["rhs"][0], data["rhs"][1] = data["rhs"][1], data["rhs"][0]
     data["report"] = None
     parsed = L.parse_relation(json.dumps(data))
@@ -75,7 +77,7 @@ def test_swapped_factor_json_does_not_verify(worked):
 
 
 def test_swapped_factor_json_with_kept_report_is_rejected(worked):
-    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data = L.relation_to_v3_dict(L.verified_relation(worked))
     data["rhs"][0], data["rhs"][1] = data["rhs"][1], data["rhs"][0]
     assert data["report"]["verified"]
     with pytest.raises(ValueError, match="stored report"):
@@ -142,7 +144,7 @@ def test_malformed_relation_json_raises_value_error(document):
 
 
 def test_label_must_match_enclosed(worked):
-    data = json.loads(L.export_relation(L.lantern_relation(worked), "json"))
+    data = L.relation_to_v3_dict(L.lantern_relation(worked))
     assert [entry["label"] for entry in data["rhs"]] == ["a12", "a13", "a23"]
     relabeled = json.loads(json.dumps(data))
     relabeled["rhs"][0]["label"] = "a13"
@@ -232,7 +234,7 @@ def _assign(data, path, value):
     ],
 )
 def test_relation_json_integers_are_strict(worked, path, value):
-    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data = L.relation_to_v3_dict(L.verified_relation(worked))
     assert L.parse_relation(json.dumps(data)).report.verified
     _assign(data, path, value)
     with pytest.raises(ValueError):
@@ -256,16 +258,23 @@ WORKED_V2_JSON = (
 )
 
 
+def _v3_text(relation):
+    """The schema-3 export, which the writer falls back to, as the json export writes it."""
+    return json.dumps(L.relation_to_v3_dict(relation)) + "\n"
+
+
 def test_worked_v3_export_is_the_v2_bytes_but_for_the_schema(worked):
     # No conjugator of the classical lantern extends one longer than its tail.
-    text = L.export_relation(L.verified_relation(worked), "json")
+    relation = L.verified_relation(worked)
+    text = _v3_text(relation)
     assert text == WORKED_V2_JSON.replace("lantern-relation/2", "lantern-relation/3")
     assert L.parse_relation(WORKED_V2_JSON) == L.parse_relation(text)
+    assert L.parse_relation(L.export_relation(relation, "json")) == L.parse_relation(text)
 
 
 def _spelled(relation, schema):
     """`relation` as a document of `schema` that spells every conjugator in full."""
-    data = L.relation_to_dict(relation)
+    data = L.relation_to_v3_dict(relation)
     data["schema"] = schema
     for entry, descriptor in zip(data["rhs"], relation.rhs):
         entry.pop("extends", None)
@@ -281,7 +290,7 @@ def test_v3_stores_tails_and_round_trips_byte_for_byte():
         for _ in range(12)
     ]
     for relation in relations:
-        text = L.export_relation(relation, "json")
+        text = _v3_text(relation)
         data = json.loads(text)
         assert any("extends" in entry for entry in data["rhs"])
         for index, entry in enumerate(data["rhs"]):
@@ -295,11 +304,13 @@ def test_v3_stores_tails_and_round_trips_byte_for_byte():
                 assert entry["conjugator"] == list(letters)
         parsed = L.parse_relation(text)
         assert parsed == relation and parsed.report.verified
-        assert L.export_relation(parsed, "json") == text
+        assert _v3_text(parsed) == text
+        assert L.export_relation(parsed, "json") == L.export_relation(relation, "json")
         # the same relation spelled in full, as schema 2 wrote it, parses to it too
         v2 = L.parse_relation(json.dumps(_spelled(relation, "lantern-relation/2")))
         assert v2 == relation
-        assert L.export_relation(v2, "json") == text
+        assert _v3_text(v2) == text
+        assert L.export_relation(v2, "json") == L.export_relation(relation, "json")
 
 
 def test_v3_writer_decides_on_letters_not_on_construction():
@@ -315,6 +326,7 @@ def test_v3_writer_decides_on_letters_not_on_construction():
     )
     assert respelled == relation
     assert L.export_relation(respelled, "json") == L.export_relation(relation, "json")
+    assert _v3_text(respelled) == _v3_text(relation)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +355,7 @@ def test_v3_writer_decides_on_letters_not_on_construction():
     ],
 )
 def test_v3_references_are_checked(path, value):
-    data = json.loads(L.export_relation(L.verified_relation(L.make_doubled_daisy(6)), "json"))
+    data = L.relation_to_v3_dict(L.verified_relation(L.make_doubled_daisy(6)))
     assert len(data["rhs"]) == 10 and data["rhs"][0]["extends"] == 1
     assert data["rhs"][1]["extends"] == 2 and "extends" not in data["rhs"][9]
     _assign(data, path, value)
@@ -352,7 +364,7 @@ def test_v3_references_are_checked(path, value):
 
 
 def test_v3_reference_to_a_wrong_conjugator_fails_the_descriptor_check():
-    data = json.loads(L.export_relation(L.lantern_relation(L.make_doubled_daisy(6)), "json"))
+    data = L.relation_to_v3_dict(L.lantern_relation(L.make_doubled_daisy(6)))
     first = data["rhs"][0]
     assert first["extends"] == 1 and first["conjugator"] == [2]
     first["conjugator"] = [1]
@@ -437,7 +449,7 @@ def test_swapped_v3_entries_never_verify():
     ]
     outcomes = {"refused": 0, "unverified": 0}
     for relation in relations:
-        data = json.loads(L.export_relation(relation, "json"))
+        data = L.relation_to_v3_dict(relation)
         for i in range(len(data["rhs"]) - 1):
             if not set(data["rhs"][i]["enclosed"]) & set(data["rhs"][i + 1]["enclosed"]):
                 continue
@@ -458,7 +470,7 @@ def test_swapped_v3_entries_never_verify():
 
 def test_v3_stored_letters_are_quadratic_at_n30():
     arr, _ = L.shear_to_generic(random_arrangement(random.Random(99), 30, allow_concurrent=False))
-    data = json.loads(L.export_relation(L.lantern_relation(arr), "json"))
+    data = L.relation_to_v3_dict(L.lantern_relation(arr))
     assert len(data["rhs"]) == 431
     stored = sum(len(entry["conjugator"]) for entry in data["rhs"])
     assert stored <= 30 * 29 // 2 * 29
@@ -623,7 +635,7 @@ def test_hostile_strand_count_without_a_report_parses_quickly():
 
 
 def test_hostile_outer_exponent_is_refused_quickly(worked):
-    data = json.loads(L.export_relation(L.verified_relation(worked), "json"))
+    data = L.relation_to_v3_dict(L.verified_relation(worked))
     data["lhs"] = [[0, 100_000]]
     start = time.perf_counter()
     with pytest.raises(ValueError, match="stored report"):
