@@ -22,6 +22,12 @@ consecutive conjugators share a chain link only the tails beyond it are
 emitted.  Reduction only shortens words; equality is still decided by the
 Artin oracle alone.
 
+A relation read off a wiring diagram (an arrangement's sweep, or a
+schema-4 document) holds its twists as a `TwistReplay`: the checked
+blocks and the lines each one encloses.  Its product is spelled from the
+blocks alone, [H_1 ... H_s][H_s ... H_1], and its descriptors are built,
+and each checked by `TwistDescriptor`, only when a caller reads them.
+
 Dehn twist constructors:
 
 * `inner_boundary_twist(n, L)` - twist about a curve parallel to d_L:
@@ -40,13 +46,17 @@ Dehn twist constructors:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import add
 from typing import Iterable
 
 from .braids import (
     BraidWord,
     StrandCountMismatch,
+    _known,
+    _link,
     braids_equal,
     divergent_tails,
     full_twist_block,
@@ -227,6 +237,101 @@ def twist_product(descriptors: Iterable[TwistDescriptor], n: int) -> FramedEleme
         previous = conjugator
     reduce_onto(letters, inverse_letters(previous.letters))
     return FramedElement(BraidWord(n, tuple(letters)), tuple(framing))
+
+
+class TwistReplay(Sequence):
+    """The conjugated twists of a wiring diagram, in temporal order, built on first read.
+
+    `blocks` lists the diagram's position blocks in sweep order from the
+    basepoint, and `enclosed[k]` the lines at block k in the order before
+    it; the caller has checked both (`geometry.fiber_blocks` against the
+    geometry, `relation._sweep` for a document).  Entry i of the sequence
+    is the twist of block s - i (s blocks, the leftmost point acting
+    first), with conjugator beta_k = H_1 ... H_(k-1), H_j the half twist of
+    block j.  The descriptors are built along one conjugator chain on the
+    first index or iteration, each checked by `TwistDescriptor`, and kept.
+
+    Two replays are equal when their strand counts and blocks are (the
+    enclosed lines follow from the blocks); a replay equals the tuple of
+    the descriptors it stands for and hashes like it, so a relation holding
+    either compares, hashes and prints alike.
+    """
+
+    __slots__ = ("n", "blocks", "enclosed", "_descriptors", "_element")
+
+    def __init__(
+        self, n: int, blocks: Iterable[tuple[int, int]], enclosed: Iterable[Iterable[int]]
+    ):
+        self.n = n
+        self.blocks = tuple(blocks)
+        self.enclosed = tuple(enclosed)
+        self._descriptors = None
+        self._element = None
+
+    def descriptors(self) -> tuple[TwistDescriptor, ...]:
+        """The twists in temporal order, built and checked once."""
+        built = self._descriptors
+        if built is None:
+            beta = BraidWord(self.n)
+            sweep = []
+            for k, (block, lines) in enumerate(zip(self.blocks, self.enclosed)):
+                if k:
+                    beta = _link(beta, half_twist_letters(*self.blocks[k - 1]))
+                sweep.append(TwistDescriptor(beta, block, frozenset(lines)))
+            built = self._descriptors = tuple(reversed(sweep))
+        return built
+
+    def product(self) -> FramedElement:
+        """`twist_product` of the descriptors, spelled from the blocks: [H_1 ... H_s][H_s ... H_1].
+
+        With beta_k = H_1 ... H_(k-1) the temporal product of the twists
+        beta_k H_k^2 beta_k^-1, leftmost (k = s) first, is spelled
+
+            beta_s H_s^2 beta_s^-1  beta_(s-1) H_(s-1)^2 beta_(s-1)^-1 ... ,
+
+        and each junction beta_(k+1)^-1 beta_k = H_k^-1 beta_k^-1 beta_k
+        cancels freely to H_k^-1, which cancels one H_k of the H_k^2 after
+        it.  What is left is [H_1 ... H_s][H_s ... H_1], a positive word, so
+        freely reduced; the free reduction of a word is unique, so this is
+        letter for letter `twist_product`'s result.  Each line's framing
+        counts the blocks that enclose it.  The word is checked for purity
+        by `FramedElement`, and kept.
+        """
+        element = self._element
+        if element is None:
+            halves = [half_twist_letters(a, b) for a, b in self.blocks]
+            letters = tuple(chain.from_iterable(chain(halves, reversed(halves))))
+            framing = [0] * self.n
+            for lines in self.enclosed:
+                for line_id in lines:
+                    framing[line_id - 1] += 1
+            element = self._element = FramedElement(_known(self.n, letters), tuple(framing))
+        return element
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, index):
+        return self.descriptors()[index]
+
+    def __iter__(self):
+        return iter(self.descriptors())
+
+    def __reversed__(self):
+        return reversed(self.descriptors())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, TwistReplay):
+            return self.n == other.n and self.blocks == other.blocks
+        if isinstance(other, tuple):
+            return self.descriptors() == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.descriptors())
+
+    def __repr__(self) -> str:
+        return repr(self.descriptors())
 
 
 def inner_boundary_twist(n: int, line_id: int) -> FramedElement:

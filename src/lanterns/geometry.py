@@ -25,14 +25,17 @@ the shear it picks builds and groups lines.
 The ranked points and the block each one reverses (the arrangement's
 allowable sequence) are a pure function of the immutable `Arrangement`,
 so they are derived and checked once per arrangement object and kept in
-its `__dict__`, outside equality, hashing and repr: `intersections`,
-`fiber_blocks`, `order_profiles`, `line_multiplicities` and
-`shear_to_generic` on an arrangement that another stage already processed
-read what that stage kept.  The kept results are `_groups` (the grouping,
-dropped once the points are ranked), `_points`, `_blocks`,
-`monodromy.braid_monodromy`'s `_twists`, the descriptors it builds from
-the points and blocks, and `_rhs`, the relation's right side that
-`monodromy.lantern_relation` composes from those descriptors.
+its `__dict__`, outside equality, hashing and repr.  The ranking keeps
+integer entries (p, q, h, members), the point (p/q, h/(D*q)) and the set
+of lines through it (`_ranked`): the genericity and pair-count checks,
+`fiber_blocks` (with its contiguity and height checks) and
+`line_multiplicities` read those, and no `Fraction` is built for them.
+`intersections` builds its `IntersectionPoint`s from the entries on its
+first call, and `NonGenericX` builds only the two points that clash.
+The kept results are `_groups` (the grouping, dropped once the points
+are ranked), `_ranked`, `_points` (once asked for), `_blocks`, and
+`monodromy`'s `_replay` (the relation's right side, a lazy
+`framed.TwistReplay` of the blocks) and `_twists` (once asked for).
 """
 
 from __future__ import annotations
@@ -242,27 +245,44 @@ def _grouping(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set[int
     return grouped
 
 
+def _ranked(arr: Arrangement) -> tuple[int, tuple[tuple[int, int, int, set[int]], ...]]:
+    """D and the grouped points ranked by decreasing x, as entries (p, q, h, members).
+
+    Computed once per arrangement object and kept on it (the grouping it
+    was read from is then dropped).  Raises `NonGenericX` when two
+    distinct points share an x-coordinate.
+    """
+    ranked = arr.__dict__.get("_ranked")
+    if ranked is None:
+        if arr.n < 2:
+            raise ValueError("intersections need at least two lines")
+        ranked = arr.__dict__["_ranked"] = _ranked_entries(arr, *_grouping(arr))
+        arr.__dict__.pop("_groups", None)
+    return ranked
+
+
 def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
     """All intersection points, grouped exactly and ranked by decreasing x.
 
     Points are ranked on an integer key that is strictly monotone in x (see
-    `_ranked_points`), and no float is consulted.  The result is computed
-    once per arrangement object and kept on it (the grouping it was read
-    from is then dropped).  Raises `NonGenericX` when two distinct points
+    `_ranked_entries`), and no float is consulted.  The points are built
+    from the kept ranked entries on the first call and kept on the
+    arrangement object.  Raises `NonGenericX` when two distinct points
     share an x-coordinate.
     """
-    if arr.n < 2:
-        raise ValueError("intersections need at least two lines")
     points = arr.__dict__.get("_points")
     if points is None:
-        points = arr.__dict__["_points"] = _ranked_points(arr, *_grouping(arr))
-        arr.__dict__.pop("_groups", None)
+        scale, entries = _ranked(arr)
+        points = arr.__dict__["_points"] = tuple(
+            IntersectionPoint(*_located(scale, entry), rank)
+            for rank, entry in enumerate(entries, start=1)
+        )
     return points
 
 
-def _ranked_points(
+def _ranked_entries(
     arr: Arrangement, scale: int, groups: dict[tuple[int, int, int], set[int]]
-) -> tuple[IntersectionPoint, ...]:
+) -> tuple[int, tuple[tuple[int, int, int, set[int]], ...]]:
     """The grouped points ranked by decreasing x = p/q, checked for genericity and pair count.
 
     One sort on the key floor(2^B * p/q), B = 2 * bit_length(max q).  The
@@ -279,30 +299,26 @@ def _ranked_points(
     )
     for first, second in zip(located, located[1:]):
         if first[0] == second[0]:
-            raise NonGenericX(_located(scale, first), _located(scale, second))
-    points = tuple(
-        IntersectionPoint(*_located(scale, entry), rank)
-        for rank, entry in enumerate(located, start=1)
-    )
-    pair_count = sum(len(p.lines) * (len(p.lines) - 1) // 2 for p in points)
+            raise NonGenericX(_located(scale, first[1:]), _located(scale, second[1:]))
+    pair_count = sum(len(entry[4]) * (len(entry[4]) - 1) // 2 for entry in located)
     if pair_count != arr.n * (arr.n - 1) // 2:
         raise InvariantViolation(
             f"pair count {pair_count} != C({arr.n},2); intersection grouping is broken"
         )
-    return points
+    return scale, tuple(entry[1:] for entry in located)
 
 
 def _located(scale: int, entry: tuple) -> tuple[Fraction, Fraction, tuple[int, ...]]:
-    """(x, y, sorted line ids) of a ranked entry (key, p, q, h, members)."""
-    _, p, q, h, members = entry
+    """(x, y, sorted line ids) of a ranked entry (p, q, h, members)."""
+    p, q, h, members = entry
     return Fraction(p, q), Fraction(h, scale * q), tuple(sorted(members))
 
 
 def line_multiplicities(arr: Arrangement) -> dict[int, int]:
     """Number of intersection points on each line, keyed by line id."""
     mu = {line.id: 0 for line in arr.lines}
-    for p in intersections(arr):
-        for line_id in p.lines:
+    for *_, members in _ranked(arr)[1]:
+        for line_id in members:
             mu[line_id] += 1
     return mu
 
@@ -329,13 +345,15 @@ def _check_heights(
 
 
 def _checked_blocks(
-    arr: Arrangement, points: Sequence[IntersectionPoint]
+    arr: Arrangement, entries: Sequence[tuple[int, int, int, set[int]]]
 ) -> tuple[tuple[int, int], ...]:
     """The position block B_j = [lo, hi] reversed at each point, checked against the geometry.
 
-    O_0 is the identity order (1, ..., n), and O_j arises from O_{j-1} by
-    reversing the block of lines through the rank-j point, which must be
-    contiguous; a line -> position array finds the block.  Each O_j is
+    `entries` are the ranked points (p, q, h, members), x = p/q in lowest
+    terms (`_ranked`).  O_0 is the identity order (1, ..., n), and O_j
+    arises from O_{j-1} by reversing the block of lines through the rank-j
+    point, which must be contiguous; a line -> position array finds the
+    block, so the block holds exactly the point's lines.  Each O_j is
     then checked at a sample x inside its interval (`_check_heights`): x_1
     + 1 right of every point, the midpoint (ad + cb)/(2bd) of consecutive
     x's a/b and c/d, and x_s - 1 left of them, all as integer pairs.  A
@@ -346,19 +364,20 @@ def _checked_blocks(
     _, coefficients = _integer_coefficients(arr)
     order = list(range(1, n + 1))
     where = list(range(-1, n))  # where[line id] = its 0-based position in `order`
-    xs = [(point.x.numerator, point.x.denominator) for point in points]
+    xs = [(p, q) for p, q, _, _ in entries]
     samples = [(xs[0][0] + xs[0][1], xs[0][1])]
     samples += [(a * d + c * b, 2 * b * d) for (a, b), (c, d) in zip(xs, xs[1:])]
     samples.append((xs[-1][0] - xs[-1][1], xs[-1][1]))
 
     _check_heights(0, order, coefficients, *samples[0])
     blocks = []
-    for j, (point, sample) in enumerate(zip(points, samples[1:]), start=1):
-        positions = [where[line_id] for line_id in point.lines]
+    for j, ((*_, members), sample) in enumerate(zip(entries, samples[1:]), start=1):
+        positions = [where[line_id] for line_id in members]
         lo, hi = min(positions), max(positions)
         if hi - lo + 1 != len(positions):
             raise InvariantViolation(
-                f"lines {point.lines} not contiguous in profile {j - 1}: {tuple(order)}"
+                f"lines {tuple(sorted(members))} not contiguous in profile {j - 1}: "
+                f"{tuple(order)}"
             )
         order[lo : hi + 1] = reversed(order[lo : hi + 1])
         coefficients[lo : hi + 1] = reversed(coefficients[lo : hi + 1])
@@ -373,13 +392,13 @@ def fiber_blocks(arr: Arrangement) -> tuple[tuple[int, int], ...]:
     """The checked 1-based position block each intersection point reverses, in rank order.
 
     Block j is where the lines through the rank-j point sit in the fiber
-    order O_{j-1}; together with `intersections(arr)` it is the
-    arrangement's allowable sequence.  Computed once per arrangement object
-    and kept on it.
+    order O_{j-1}; it is the arrangement's allowable sequence.  Read off
+    the ranked integer entries (no `IntersectionPoint` is built), computed
+    once per arrangement object and kept on it.
     """
     blocks = arr.__dict__.get("_blocks")
     if blocks is None:
-        blocks = arr.__dict__["_blocks"] = _checked_blocks(arr, intersections(arr))
+        blocks = arr.__dict__["_blocks"] = _checked_blocks(arr, _ranked(arr)[1])
     return blocks
 
 
@@ -469,7 +488,7 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     at most, (x1 - x2)/(y1 - y2), so at most one admissible t per pair of
     points fails.
     """
-    if "_points" in arr.__dict__:
+    if "_ranked" in arr.__dict__:
         return arr, Fraction(0)
     scale, groups = _grouping(arr)
     if len({(p, q) for p, q, _ in groups}) == len(groups):

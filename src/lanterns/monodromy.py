@@ -33,13 +33,14 @@ is the braid part of the arrangement's relation; framings do the boundary
 bookkeeping on top of it.
 
 The first equality is free cancellation (beta_{k+1}^{-1} beta_k =
-D_k^{-1}), and `twist_product` performs it as it builds the product: each
-beta_{k+1} extends beta_k, so the junction between two twists is emitted
-as D_k^{-1} alone, and the right-hand word is literally
-[D_1 ... D_s][D_s ... D_1], with n(n-1) letters.  The second equality,
-with the full twist on the left side, is still decided by the Artin
-oracle in `verify_relation` (which lives in `relation`, so a parsed report
-can be re-checked there, and is re-exported here).
+D_k^{-1}), so the right-hand word is spelled straight from the blocks as
+[D_1 ... D_s][D_s ... D_1], with n(n-1) letters: letter for letter what
+`twist_product` makes of the descriptors, since the free reduction of a
+word is unique (proof at `framed.TwistReplay.product`).  No conjugator
+is spelled for it.  The second equality, with the full twist on the left
+side, is still decided by the Artin oracle in `verify_relation` (which
+lives in `relation`, so a parsed report can be re-checked there, and is
+re-exported here).
 
 `total_monodromy` is the relation's right side with each loop's inner
 twists divided out (from a relation the caller passes, or one read off
@@ -47,17 +48,20 @@ the arrangement).  Inner twists carry the empty braid, so they leave the
 right side's word unchanged and only subtract, from each line's framing,
 the number of points on it: mu_L, the line's left exponent plus one.
 
-`lantern_relation` reads the factor lists off the combinatorics (the
-exponents mu_L - 1 and the descriptors in temporal order) and hands the
-relation the arrangement's right side; the left side is never spelled
-there (it is central, see `relation.verify_relation`).
+`lantern_relation` reads the factor lists off the combinatorics: the
+exponents mu_L - 1, and the right side as a `framed.TwistReplay` of the
+checked blocks and the lines through each point.  It calls neither
+`braid_monodromy` nor `twist_product`; the replay spells its word from
+the blocks when the relation is verified, and builds its descriptors
+(each checked by `TwistDescriptor`) only when a caller reads `rhs`.  The
+left side is never spelled there (it is central, see
+`relation.verify_relation`).
 
-The monodromy and the right side are derived once per arrangement
-object: `braid_monodromy` keeps its twists in the arrangement's
-`__dict__`, as `geometry` keeps the ranked points and checked blocks, and
-the right side composed from them is kept next to them, so
+The replay is derived once per arrangement object and kept in its
+`__dict__`, as `geometry` keeps the ranked points and checked blocks, so
 `verified_relation` and a later `total_monodromy` on the same arrangement
-share one set of descriptors and one word.
+share one word; `braid_monodromy` pairs the same descriptors with the
+points, and keeps its twists there too.
 """
 
 from __future__ import annotations
@@ -65,11 +69,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .braids import BraidWord, StrandCountMismatch, _link, half_twist_letters
-from .framed import FramedElement, TwistDescriptor, conjugated_twist, twist_product
+from .braids import StrandCountMismatch
+from .framed import FramedElement, TwistDescriptor, TwistReplay, conjugated_twist
 from .geometry import (
     Arrangement,
     IntersectionPoint,
+    _ranked,
     fiber_blocks,
     intersections,
     line_multiplicities,
@@ -97,6 +102,22 @@ class MonodromyData:
     twists: tuple[PointTwist, ...]
 
 
+def _right_side(arr: Arrangement) -> TwistReplay:
+    """The arrangement's twists: its checked blocks and the lines through each point.
+
+    `fiber_blocks` checked each point's lines against the fiber order
+    before it (they fill the point's block), so they are the lines the
+    block encloses.  Built once per arrangement object and kept on it; it
+    holds no reference to the arrangement, so keeping it makes no cycle.
+    """
+    replay = arr.__dict__.get("_replay")
+    if replay is None:
+        blocks = fiber_blocks(arr)
+        members = [entry[3] for entry in _ranked(arr)[1]]
+        replay = arr.__dict__["_replay"] = TwistReplay(arr.n, blocks, members)
+    return replay
+
+
 def braid_monodromy(arr: Arrangement) -> MonodromyData:
     """Conjugator, block, and twist for every intersection point.
 
@@ -104,31 +125,22 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     and their blocks are the arrangement's `intersections` and
     `fiber_blocks`, derived and checked against the geometry once per
     arrangement object (the lines through each point are contiguous in the
-    fiber order, and every order matches the heights); the descriptor
+    fiber order, and every order matches the heights).  The descriptors
+    are those of the arrangement's right side (`lantern_relation(arr).rhs`,
+    the same objects): point k's conjugator is beta_k, one link of a prefix
+    chain that holds beta_(k-1) rather than its letters, so the
+    descriptors share O(n^2) letters in all, and each descriptor's
     consistency (beta_k's strand order, the fiber order O_{k-1}, holds the
-    enclosed lines on the block) is re-checked at construction for every
-    point.  Each conjugator is the previous one linked to one block half
-    twist's letters (valid by construction: the descriptor just checked
-    the block), a link of one prefix chain that holds the previous
-    conjugator rather than its letters, so the descriptors share O(n^2)
-    letters in all, and each check takes the previous conjugator's order
-    over (moved, not copied) and replays one tail: the chain keeps one
-    n-entry order, on the newest conjugator, not one per point.
+    enclosed lines on the block) is checked once, when it is built.
 
     The twists are a pure function of the immutable arrangement, so they
     are built once per arrangement object and kept in its `__dict__` next
-    to its points and blocks; a later call (`total_monodromy` after
-    `verified_relation`, say) wraps the same descriptors.  The twists hold
-    no reference to the arrangement, so keeping them makes no cycle.
+    to its points and blocks.
     """
     twists = arr.__dict__.get("_twists")
     if twists is None:
-        beta = BraidWord(arr.n)
-        built: list[PointTwist] = []
-        for point, block in zip(intersections(arr), fiber_blocks(arr)):
-            built.append(PointTwist(point, TwistDescriptor(beta, block, frozenset(point.lines))))
-            beta = _link(beta, half_twist_letters(*block))
-        twists = arr.__dict__["_twists"] = tuple(built)
+        descriptors = reversed(_right_side(arr))  # rank order
+        twists = arr.__dict__["_twists"] = tuple(map(PointTwist, intersections(arr), descriptors))
     return MonodromyData(twists)
 
 
@@ -137,26 +149,19 @@ def lantern_relation(arr: Arrangement, name: str = "lantern") -> Relation:
 
     Left side: outer twist times inner twists to the power mu_L - 1 (all
     commuting).  Right side: the conjugated interior twists in temporal
-    order, leftmost intersection point acting first.  The right side's
-    element (`twist_product` of the descriptors) is built once per
-    arrangement object and kept on it next to the twists, as `_rhs`; every
-    relation read off the arrangement holds that element.
-    The left side is never spelled here (it is central, see
-    `relation.verify_relation`).
+    order, leftmost intersection point acting first, as the arrangement's
+    kept `TwistReplay`: every relation read off the arrangement shares its
+    word, spelled from the blocks on first use, and its descriptors, built
+    only when a caller reads them.  The left side is never spelled here
+    (it is central, see `relation.verify_relation`).
     """
     mu = line_multiplicities(arr)
-    rhs = tuple(t.descriptor for t in reversed(braid_monodromy(arr).twists))  # smallest x first
-    element = arr.__dict__.get("_rhs")
-    if element is None:
-        element = arr.__dict__["_rhs"] = twist_product(rhs, arr.n)
-    relation = Relation(
+    return Relation(
         name=name,
         n=arr.n,
         lhs=((0, 1),) + tuple((line.id, mu[line.id] - 1) for line in arr.lines),
-        rhs=rhs,
+        rhs=_right_side(arr),
     )
-    relation.__dict__["rhs_element"] = element
-    return relation
 
 
 def verified_relation(arr: Arrangement, name: str = "lantern") -> Relation:
@@ -178,10 +183,11 @@ def total_monodromy(arr: Arrangement, relation: Relation | None = None) -> Frame
     The product is the relation's right side R times each line's inner
     twist to -mu_L, where mu_L - 1 is the line's left exponent.  Inner
     twists carry the empty braid, so they commute with every factor and
-    only subtract framing; and R's word is freely reduced (`twist_product`
-    reduces it as it builds it), so pushing it onto an empty stack cancels
-    nothing.  The result is therefore R's braid itself with mu_L taken off
-    each line's framing: letter for letter the `compose_all` of R and the
+    only subtract framing; and R's word is freely reduced (a replay
+    spells a positive word, see `framed.TwistReplay.product`, and
+    `twist_product` reduces as it builds), so pushing it onto an empty
+    stack cancels nothing.  The result is therefore R's braid itself with
+    mu_L taken off each line's framing: letter for letter the `compose_all` of R and the
     inner twists, with no word built.
 
     `relation` is the arrangement's `lantern_relation`, read off it when

@@ -37,14 +37,23 @@ H_j the half twist of block j, and its enclosed lines are the lines at
 block k in the order before point k.  The document holds `n`, `lhs`
 (boundary ids 0..n once each, in order, with their exponents) and
 `blocks`, in sweep order from the basepoint; the rhs is their reverse.
-The parser replays the blocks once: the order starts 1..n, each block's
-lines, read top to bottom before it acts, must be increasing (or a pair
-crosses twice), and the final order must be n..1 (or a pair never
-crossed).  That check takes O(n + sum of block sizes) time and O(n)
-memory; the descriptors are then built along one conjugator chain, each
-still checked by `TwistDescriptor`.  The writer uses schema 4 exactly
-when the rhs is such a replay and the lhs has that form, decided on the
-letters, so export, parse and export give the same bytes.
+The parser replays the blocks once (`_sweep`): the order starts 1..n,
+each block's lines, read top to bottom before it acts, must be
+increasing (or a pair crosses twice), and the final order must be n..1
+(or a pair never crossed).  That check takes O(n + sum of block sizes)
+time and O(n) memory and yields each block's enclosed lines.  The rhs is
+then a `framed.TwistReplay` of the blocks: its word is spelled from the
+blocks when the relation is verified, [H_1 ... H_s][H_s ... H_1], which
+is letter for letter the free reduction `twist_product` makes of the
+descriptors (proof at `framed.TwistReplay.product`); `FramedElement`
+checks its purity and the Artin oracle, in every `verify_relation` call,
+decides the relation.  The descriptors are built along one conjugator
+chain, each checked by `TwistDescriptor`, only when a caller reads `rhs`
+(a text or LaTeX export, say).  The writer uses schema 4 exactly when
+the lhs has that form and the rhs is a replay: a `TwistReplay`, whose
+blocks it writes as they are, or a tuple of descriptors that replays
+its blocks, decided on the letters; so export, parse and export give
+the same bytes.
 
 Any other relation (a hand-built one: reordered factors, a left side in
 another order) is written in schema `lantern-relation/3`
@@ -82,7 +91,13 @@ from .braids import (
     half_twist_letters,
     reduced_product,
 )
-from .framed import FramedElement, TwistDescriptor, boundary_label, twist_product
+from .framed import (
+    FramedElement,
+    TwistDescriptor,
+    TwistReplay,
+    boundary_label,
+    twist_product,
+)
 
 JSON_SCHEMA = "lantern-relation/4"
 JSON_SCHEMA_V3 = "lantern-relation/3"
@@ -121,24 +136,35 @@ class Relation:
 
     `lhs` lists (boundary id, exponent) pairs, boundary id 0 being the
     outer boundary; `rhs` lists twist descriptors in temporal order (first
-    acts first); `report` is attached once verification ran.  A boundary
-    id outside 0..n raises `ValueError` naming `lhs[i]` when the relation
-    is built.  The left side's exponent and framings and the assembled
-    framed elements `lhs_element` and `rhs_element` are derived from the
-    factor lists on first access; verification reads only `rhs_element`
-    (the left side is in closed form, see `verify_relation`).
+    acts first), as a tuple or, for a relation read off a wiring diagram,
+    as a `TwistReplay` that builds them on first read; `report` is
+    attached once verification ran.  A boundary id outside 0..n raises
+    `ValueError` naming `lhs[i]` when the relation is built, and so does
+    a twist on another strand count, naming `rhs[i]`; a replay is checked
+    by its strand count, without building it.  The left side's exponent
+    and framings and the assembled framed elements `lhs_element` and
+    `rhs_element` are derived from the factor lists on first access;
+    verification reads only `rhs_element` (the left side is in closed
+    form, see `verify_relation`).
     """
 
     name: str
     n: int
     lhs: tuple[tuple[int, int], ...]
-    rhs: tuple[TwistDescriptor, ...]
+    rhs: tuple[TwistDescriptor, ...] | TwistReplay
     report: VerificationReport | None = None
 
     def __post_init__(self):
         for i, (boundary_id, _) in enumerate(self.lhs):
             if not 0 <= boundary_id <= self.n:
                 raise ValueError(f"lhs[{i}] names boundary {boundary_id}, outside 0..{self.n}")
+        if isinstance(self.rhs, TwistReplay):  # every twist is on the replay's strand count
+            strands = (self.rhs.n,) if self.rhs.blocks else ()
+        else:
+            strands = (d.conjugator.n for d in self.rhs)
+        for i, m in enumerate(strands):
+            if m != self.n:
+                raise ValueError(f"rhs[{i}] is a twist on {m} strands, not {self.n}")
 
     @cached_property
     def _lhs_framing(self) -> tuple[int, tuple[int, ...]]:
@@ -173,7 +199,14 @@ class Relation:
 
     @cached_property
     def rhs_element(self) -> FramedElement:
-        """The conjugated interior twists, composed in temporal order."""
+        """The conjugated interior twists, composed in temporal order.
+
+        A replay spells its product from its blocks (`TwistReplay.product`)
+        and keeps it, without building a descriptor; a tuple of descriptors
+        is composed by `twist_product`.
+        """
+        if isinstance(self.rhs, TwistReplay):
+            return self.rhs.product()
         return twist_product(self.rhs, self.n)
 
     def with_report(self, report: VerificationReport) -> Relation:
@@ -404,17 +437,20 @@ def _sweep(blocks: list[tuple[int, int]], n: int) -> list[frozenset[int]]:
     return enclosed
 
 
-def _replayed_blocks(relation: Relation) -> list[tuple[int, int]] | None:
+def _replayed_blocks(relation: Relation) -> tuple[tuple[int, int], ...] | None:
     """The blocks, in sweep order, whose replay is `relation`; None if there are none.
 
-    The rhs, read from its end, must be a wiring diagram's replay: the
-    first conjugator is empty, each later one is the one before it times
-    the half twist of that one's block, and `_sweep` accepts the blocks.
-    The lhs must list boundary ids 0..n once each, in order.
+    The lhs must list boundary ids 0..n once each, in order.  A
+    `TwistReplay` gives its blocks as they are.  A tuple, read from its
+    end, must be a wiring diagram's replay: the first conjugator is empty,
+    each later one is the one before it times the half twist of that
+    one's block, and `_sweep` accepts the blocks.
     """
     n, lhs = relation.n, relation.lhs
     if len(lhs) != n + 1 or any(boundary_id != i for i, (boundary_id, _) in enumerate(lhs)):
         return None
+    if isinstance(relation.rhs, TwistReplay):
+        return relation.rhs.blocks
     sweep = relation.rhs[::-1]
     blocks = [d.block for d in sweep]
     try:
@@ -426,7 +462,7 @@ def _replayed_blocks(relation: Relation) -> list[tuple[int, int]] | None:
         if _tail(d.conjugator, previous) != tail:
             return None
         previous, tail = d.conjugator, half_twist_letters(*d.block)
-    return blocks
+    return tuple(blocks)
 
 
 def relation_to_dict(relation: Relation) -> dict[str, Any]:
@@ -509,16 +545,13 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     return descriptors[::-1]
 
 
-def _replay(
-    data: dict[str, Any], n: int
-) -> tuple[tuple[tuple[int, int], ...], tuple[TwistDescriptor, ...]]:
-    """A schema-4 document's lhs and rhs: the blocks replayed along one conjugator chain.
+def _replay(data: dict[str, Any], n: int) -> tuple[tuple[tuple[int, int], ...], TwistReplay]:
+    """A schema-4 document's lhs and rhs: the blocks, checked by `_sweep`, as a replay.
 
     The lhs is checked first, so nothing of size n is allocated before
     the lhs lists boundaries 0..n.  The blocks are then checked by
-    `_sweep`, before any braid is built.  beta starts empty; block k
-    encloses the lines `_sweep` found at it, and beta then moves on by
-    block k's half twist, except after the last block.
+    `_sweep`, which finds the lines each one encloses.  No braid and no
+    descriptor is built here (see `TwistReplay`).
     """
     lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"]))
     for i, (boundary_id, _) in enumerate(lhs):
@@ -530,13 +563,7 @@ def _replay(
     if len(lhs) != n + 1:
         raise ValueError(f"lhs lists {len(lhs)} boundaries, not the {n + 1} of 0..{n}")
     blocks = [_pair(block, f"blocks[{i}]") for i, block in enumerate(data["blocks"])]
-    beta = BraidWord(n)
-    descriptors = []
-    for k, (block, enclosed) in enumerate(zip(blocks, _sweep(blocks, n))):
-        if k:
-            beta = _link(beta, half_twist_letters(*blocks[k - 1]))
-        descriptors.append(TwistDescriptor(beta, block, enclosed))
-    return lhs, tuple(reversed(descriptors))
+    return lhs, TwistReplay(n, blocks, _sweep(blocks, n))
 
 
 def relation_from_dict(data: dict[str, Any]) -> Relation:

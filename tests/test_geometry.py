@@ -1,7 +1,6 @@
 """Exact-geometry behavior: validation, intersections, profiles, shear."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -121,12 +120,11 @@ def test_two_line_profiles():
 
 def test_order_profiles_with_swapped_ranks_fail_the_geometry_check():
     arr, _ = L.shear_to_generic(random_arrangement(random.Random(5), 6, allow_concurrent=False))
-    points = list(L.intersections(arr))
-    assert L.geometry._checked_blocks(arr, points) == L.geometry.fiber_blocks(arr)
-    for j in range(len(points) - 1):
-        swapped = list(points)
-        swapped[j] = replace(points[j + 1], rank=j + 1)
-        swapped[j + 1] = replace(points[j], rank=j + 2)
+    entries = list(L.geometry._ranked(arr)[1])
+    assert L.geometry._checked_blocks(arr, entries) == L.geometry.fiber_blocks(arr)
+    for j in range(len(entries) - 1):
+        swapped = list(entries)
+        swapped[j], swapped[j + 1] = entries[j + 1], entries[j]
         with pytest.raises(L.InvariantViolation):
             L.geometry._checked_blocks(arr, swapped)
 
@@ -469,8 +467,8 @@ def test_failing_explicit_points_leave_the_kept_results_alone():
     lines = [(line.slope, line.intercept) for line in
              random_arrangement(random.Random(5), 6, allow_concurrent=False).lines]
     arr, _ = L.shear_to_generic(L.validate_arrangement(lines))
-    points = L.intersections(arr)
-    swapped = [replace(points[1], rank=1), replace(points[0], rank=2), *points[2:]]
+    entries = L.geometry._ranked(arr)[1]
+    swapped = [entries[1], entries[0], *entries[2:]]
     with pytest.raises(L.InvariantViolation):
         L.geometry._checked_blocks(arr, swapped)
     reference, _ = L.shear_to_generic(L.validate_arrangement(lines))

@@ -201,6 +201,11 @@ def test_total_monodromy_reuses_a_given_relation(monkeypatch):
 
 
 def test_total_monodromy_reuses_the_kept_monodromy(monkeypatch):
+    """After `verified_relation`, `total_monodromy` builds no word; a fresh arrangement builds it once.
+
+    The word is spelled from the blocks, one `half_twist_letters` call per
+    block, and never by `twist_product`.
+    """
     rng = random.Random(35)
     arrangements = [
         L.shear_to_generic(random_arrangement(rng, rng.randint(3, 7)))[0] for _ in range(10)
@@ -209,24 +214,30 @@ def test_total_monodromy_reuses_the_kept_monodromy(monkeypatch):
     relations = [L.verified_relation(arr) for arr in arrangements]
     calls = []
 
-    def counting(name, function):
+    def counting(module, name):
+        function = getattr(module, name)
+
         def count(*args):
             calls.append(name)
             return function(*args)
 
-        monkeypatch.setattr(f"lanterns.monodromy.{name}", count)
+        monkeypatch.setattr(module, name, count)
 
-    counting("twist_product", L.monodromy.twist_product)
-    counting("half_twist_letters", L.monodromy.half_twist_letters)
+    counting(L.relation, "twist_product")
+    counting(L.framed, "twist_product")
+    counting(L.framed, "half_twist_letters")
     for arr, relation in zip(arrangements, relations):
         total = L.total_monodromy(arr)
         assert total.framing == (0,) * arr.n
         assert total.braid is relation.rhs_element.braid
-        assert L.braid_monodromy(arr).twists[0].descriptor is relation.rhs[-1]
     assert calls == []
+    for arr, relation in zip(arrangements, relations):
+        assert L.braid_monodromy(arr).twists[0].descriptor is relation.rhs[-1]
+    calls.clear()
     fresh = L.validate_arrangement([(2, 0), (1, 1), (-1, 4)])
     assert L.total_monodromy(fresh).framing == (0, 0, 0)
-    assert sorted(calls) == ["half_twist_letters"] * 3 + ["twist_product"]
+    assert calls == ["half_twist_letters"] * 3
+
 
 def test_descriptors_over_links_whose_order_moved_on_check_like_spelled_ones():
     """The monodromy's checks move each chain order on to the next conjugator.
