@@ -326,33 +326,6 @@ def reduced_product(*words: FreeWord) -> FreeWord:
     return out
 
 
-def _conjugator_through(v: FreeWord, x: int, w: FreeWord, k: int) -> FreeWord:
-    """The conjugator of (v x v^-1) (w x_k w^-1) (v x v^-1)^-1, as `artin_image` keeps it.
-
-    v and w are freely reduced, v does not end in x^{+-1}, and w does not
-    end in x_k^{+-1}; the result is the free reduction of v x v^-1 w with
-    its trailing x_k^{+-1} letters dropped (proof at `artin_image`).
-    """
-    p = min(len(v), len(w))
-    if v[:p] != w[:p]:  # binary search for the common prefix, on C-level slices
-        lo = 0
-        while p - lo > 1:
-            mid = (lo + p) // 2
-            if v[lo:mid] == w[lo:mid]:
-                lo = mid
-            else:
-                p = mid
-        p = lo
-    if p < len(v):
-        c = v + (x,) + inverse_letters(v[p:]) + w[p:]
-    else:
-        c = reduced_product(v + (x,), w[p:])
-    end = len(c)
-    while end and (c[end - 1] == k or c[end - 1] == -k):
-        end -= 1
-    return c[:end]
-
-
 def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
     """Images of x_1 .. x_n under the automorphism of `word`.
 
@@ -373,8 +346,10 @@ def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
     the longest common prefix of v = P r and w = P s, g w is
     P r x_b^{+-1} r^{-1} s, which is reduced when r is non-empty (r and s
     start differently, and r does not end in x_b^{+-1}); when r is empty
-    only the junction of P x_b^{+-1} and s cancels.  So a letter costs one
-    common-prefix scan on two conjugators, not products of whole images.
+    only the junction of P x_b^{+-1} and s cancels, and it is cancelled in
+    place.  So a letter costs one common-prefix scan on two conjugators and
+    a few tuple slices, done inside the loop: no product of whole images
+    and no helper call per letter.
 
     The images are spelled from the pairs at the end.  Reduced words are a
     normal form, so they are those of any other evaluation order, and two
@@ -385,16 +360,43 @@ def artin_image(word: BraidWord) -> tuple[FreeWord, ...]:
     conjugators: list[FreeWord] = [()] * word.n
     generators = list(range(1, word.n + 1))
     for letter in reversed(word.letters):
-        # The image g at slot `through` moves to slot `inner`, and the image
-        # there is conjugated through g (sigma_i) or through g^{-1} (sigma_i^{-1})
-        # into slot `through`.
+        # The image g = v x v^-1 at slot `through` moves to slot `inner`, and
+        # the image w x_k w^-1 there is conjugated through g (sigma_i) or
+        # through g^-1 (sigma_i^-1, x negated) into slot `through`.
         if letter > 0:
-            through, inner, x = letter - 1, letter, generators[letter - 1]
+            through, inner = letter - 1, letter
+            x = generators[through]
         else:
-            through, inner, x = -letter, -letter - 1, -generators[-letter]
+            through, inner = -letter, -letter - 1
+            x = -generators[through]
         v = conjugators[through]
+        w = conjugators[inner]
         k = generators[inner]
-        conjugators[through] = _conjugator_through(v, x, conjugators[inner], k)
+        lv, lw = len(v), len(w)
+        p = lv if lv < lw else lw
+        if v[:p] != w[:p]:  # binary search for the common prefix, on C-level slices
+            lo = 0
+            while p - lo > 1:
+                mid = (lo + p) // 2
+                if v[lo:mid] == w[lo:mid]:
+                    lo = mid
+                else:
+                    p = mid
+            p = lo
+        if p < lv:  # reduced as spelled
+            c = v + (x,) + tuple(map(neg, v[p:][::-1])) + w[p:]
+        elif p < lw and w[p] == -x:  # v is a prefix of w, and the junction cancels in place
+            j = p + 1
+            while p and j < lw and v[p - 1] == -w[j]:
+                p -= 1
+                j += 1
+            c = v[:p] + w[j:]
+        else:
+            c = v + (x,) + w[p:]
+        end = len(c)
+        while end and (c[end - 1] == k or c[end - 1] == -k):
+            end -= 1
+        conjugators[through] = c[:end]
         conjugators[inner] = v
         generators[inner], generators[through] = abs(x), k
     return tuple(w + (k,) + inverse_letters(w) for w, k in zip(conjugators, generators))

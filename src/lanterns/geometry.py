@@ -13,7 +13,8 @@ by integer keys over the common denominator of all coefficients, ranked on
 the integer floor(2^B * x), B twice the bit length of the largest
 denominator of a point's x (a key no two distinct x's share), and every
 fiber order is checked against integer heights at integer sample pairs
-(p, q) standing for x = p/q.
+(p, q) standing for x = p/q, each adjacent pair of lines at the two ends
+of the run of orders in which it is adjacent (`_checked_blocks`).
 
 Intersection points are ranked by strictly decreasing x-coordinate.  Two
 distinct points sharing an x-coordinate violate the genericity the ranking
@@ -324,24 +325,31 @@ def line_multiplicities(arr: Arrangement) -> dict[int, int]:
 
 
 def _check_heights(
-    j: int, order: list[int], coefficients: list[tuple[int, int]], p: int, q: int
+    j: int,
+    order: list[int],
+    coefficients: list[tuple[int, int]],
+    p: int,
+    q: int,
+    spans: Sequence[tuple[int, int]],
 ) -> None:
-    """At the sample x = p/q (q > 0) the heights must strictly decrease along profile j.
+    """At the sample x = p/q (q > 0) heights must strictly decrease along each span of profile j.
 
-    That holds exactly when sorting the lines by height at x gives the
-    order with no two heights equal, at n evaluations and no sort.
+    Each span (start, stop) is a slice of positions of the order; within
+    it, sorting the lines by height at x must give the order with no two
+    heights equal, which takes one evaluation per position and no sort.
     `coefficients` holds each line's integers (D*slope, D*intercept), D the
     common denominator of all coefficients, in the order's line order, so
     the integers D*q*y = (D*slope)*p + (D*intercept)*q order the heights
     exactly; they are compared with a C-level `map`.
     """
-    heights = [m * p + c * q for m, c in coefficients]
-    if not all(map(gt, heights, heights[1:])):
-        k = next(k for k in range(len(heights) - 1) if heights[k] <= heights[k + 1])
-        raise InvariantViolation(
-            f"profile {j} is {tuple(order)}, but at x={Fraction(p, q)} line {order[k]} is not "
-            f"above line {order[k + 1]}"
-        )
+    for start, stop in spans:
+        heights = [m * p + c * q for m, c in coefficients[start:stop]]
+        if not all(map(gt, heights, heights[1:])):
+            k = start + next(k for k in range(len(heights) - 1) if heights[k] <= heights[k + 1])
+            raise InvariantViolation(
+                f"profile {j} is {tuple(order)}, but at x={Fraction(p, q)} line {order[k]} is "
+                f"not above line {order[k + 1]}"
+            )
 
 
 def _checked_blocks(
@@ -350,41 +358,65 @@ def _checked_blocks(
     """The position block B_j = [lo, hi] reversed at each point, checked against the geometry.
 
     `entries` are the ranked points (p, q, h, members), x = p/q in lowest
-    terms (`_ranked`).  O_0 is the identity order (1, ..., n), and O_j
-    arises from O_{j-1} by reversing the block of lines through the rank-j
-    point, which must be contiguous; a line -> position array finds the
-    block, so the block holds exactly the point's lines.  Each O_j is
-    then checked at a sample x inside its interval (`_check_heights`): x_1
-    + 1 right of every point, the midpoint (ad + cb)/(2bd) of consecutive
-    x's a/b and c/d, and x_s - 1 left of them, all as integer pairs.  A
-    violation aborts because it can only mean broken arithmetic, never bad
-    input.
+    terms and strictly decreasing (`_ranked`).  O_0 is the identity order
+    (1, ..., n), and O_j arises from O_{j-1} by reversing the block of
+    lines through the rank-j point, which must be contiguous; a line ->
+    position array finds the block, so the block holds exactly the point's
+    lines.  Each O_j is checked at a sample x_j' inside its interval: x_1 +
+    1 right of every point, the midpoint (ad + cb)/(2bd) of consecutive x's
+    a/b and c/d, and x_s - 1 left of them, all as integer pairs, strictly
+    decreasing in j.
+
+    The check is on adjacent pairs, each at the two ends of its run.  O_j
+    is right at x_j' when every pair of lines adjacent in O_j is in its
+    order there.  A pair adjacent in O_j1 .. O_j2 (with the same line above)
+    is checked at x_j1' and x_j2' only: two lines cross once, so the x
+    where one lies above the other form a half-line, and a half-line that
+    holds x_j1' and x_j2' holds every sample between them.  A pair stops
+    being adjacent only when a block touches it, so a run starts at O_0 or
+    at the pairs in and beside block j (born at step j, checked at x_j'),
+    and ends at O_s or at the pairs in and beside block j + 1 (dying at
+    step j + 1, checked at x_j' too).  O_0 and O_s are scanned in full; at
+    every other sample one `_check_heights` call covers both slices of
+    positions, as one slice when they meet.  So the check passes and fails
+    on exactly the inputs a full scan of every O_j does, at
+    O(n + sum of block sizes) height evaluations instead of O(n * points).
+    A violation aborts because it can only mean broken arithmetic, never
+    bad input.
     """
     n = arr.n
     _, coefficients = _integer_coefficients(arr)
     order = list(range(1, n + 1))
     where = list(range(-1, n))  # where[line id] = its 0-based position in `order`
-    xs = [(p, q) for p, q, _, _ in entries]
-    samples = [(xs[0][0] + xs[0][1], xs[0][1])]
-    samples += [(a * d + c * b, 2 * b * d) for (a, b), (c, d) in zip(xs, xs[1:])]
-    samples.append((xs[-1][0] - xs[-1][1], xs[-1][1]))
-
-    _check_heights(0, order, coefficients, *samples[0])
+    a, b = entries[0][:2]  # a/b is the x of the point before, x_1 at first
+    everything = ((0, n),)
+    _check_heights(0, order, coefficients, a + b, b, everything)
+    born_start = born_stop = 0  # the slice of positions in and beside the previous block
     blocks = []
-    for j, ((*_, members), sample) in enumerate(zip(entries, samples[1:]), start=1):
+    for j, (c, d, _, members) in enumerate(entries, start=1):
         positions = [where[line_id] for line_id in members]
         lo, hi = min(positions), max(positions)
+        start, stop = lo - 1 if lo else 0, hi + 2  # in and beside this block
+        if j > 1:  # O_{j-1} at its sample: the pairs born at step j - 1 and dying at step j
+            if start <= born_stop and born_start <= stop:  # the slices meet: check their union
+                spans = ((start if start < born_start else born_start,
+                          stop if stop > born_stop else born_stop),)
+            else:
+                spans = ((born_start, born_stop), (start, stop))
+            _check_heights(j - 1, order, coefficients, a * d + c * b, 2 * b * d, spans)
         if hi - lo + 1 != len(positions):
             raise InvariantViolation(
                 f"lines {tuple(sorted(members))} not contiguous in profile {j - 1}: "
                 f"{tuple(order)}"
             )
-        order[lo : hi + 1] = reversed(order[lo : hi + 1])
-        coefficients[lo : hi + 1] = reversed(coefficients[lo : hi + 1])
+        order[lo : hi + 1] = order[lo : hi + 1][::-1]
+        coefficients[lo : hi + 1] = coefficients[lo : hi + 1][::-1]
         for k in range(lo, hi + 1):
             where[order[k]] = k
         blocks.append((lo + 1, hi + 1))
-        _check_heights(j, order, coefficients, *sample)
+        born_start, born_stop = start, stop
+        a, b = c, d
+    _check_heights(len(entries), order, coefficients, a - b, b, everything)
     return tuple(blocks)
 
 
@@ -394,7 +426,11 @@ def fiber_blocks(arr: Arrangement) -> tuple[tuple[int, int], ...]:
     Block j is where the lines through the rank-j point sit in the fiber
     order O_{j-1}; it is the arrangement's allowable sequence.  Read off
     the ranked integer entries (no `IntersectionPoint` is built), computed
-    once per arrangement object and kept on it.
+    once per arrangement object and kept on it.  Every fiber order is
+    checked against the exact heights: each pair of lines adjacent over a
+    run of orders is checked at the first and last samples of its run,
+    which is enough because the x where one line of a pair lies above the
+    other form a half-line (`_checked_blocks`).
     """
     blocks = arr.__dict__.get("_blocks")
     if blocks is None:
@@ -409,8 +445,12 @@ def order_profiles(arr: Arrangement) -> tuple[OrderProfile, ...]:
     order (1, ..., n), and O_j arises from O_{j-1} by reversing the block of
     lines through the rank-j point, which must be contiguous.  Each O_j is
     checked against the geometry: at a sample x inside its interval the
-    heights strictly decrease along O_j.  A violation aborts because it can
-    only mean broken arithmetic, never bad input.
+    heights strictly decrease along O_j.  That is checked pair by pair: a
+    pair of lines adjacent in O_j1 .. O_j2 is compared at the samples of
+    O_j1 and O_j2 only, since two lines cross once, so the x where one lies
+    above the other form a half-line, which holds every sample between two
+    it holds.  A violation aborts because it can only mean broken
+    arithmetic, never bad input.
 
     The orders replay the arrangement's checked blocks (`fiber_blocks`),
     which are derived and checked once per arrangement object.

@@ -48,8 +48,9 @@ is letter for letter the free reduction `twist_product` makes of the
 descriptors (proof at `framed.TwistReplay.product`); `FramedElement`
 checks its purity and the Artin oracle, in every `verify_relation` call,
 decides the relation.  The descriptors are built along one conjugator
-chain, each checked by `TwistDescriptor`, only when a caller reads `rhs`
-(a text or LaTeX export, say).  The writer uses schema 4 exactly when
+chain, each checked by `TwistDescriptor`, only when a caller reads `rhs`;
+text and LaTeX exports read the labels off the replay's enclosed sets and
+build none.  The writer uses schema 4 exactly when
 the lhs has that form and the rhs is a replay: a `TwistReplay`, whose
 blocks it writes as they are, or a tuple of descriptors that replays
 its blocks, decided on the letters; so export, parse and export give
@@ -77,7 +78,7 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import chain
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from .braids import (
     BraidWord,
@@ -96,6 +97,7 @@ from .framed import (
     TwistDescriptor,
     TwistReplay,
     boundary_label,
+    twist_label,
     twist_product,
 )
 
@@ -297,14 +299,21 @@ def _lhs_text(relation: Relation, name: Callable[[int], str], power: str) -> str
     return " ".join(parts) or "1"
 
 
+def _enclosed_in_time(relation: Relation) -> Iterable[Iterable[int]]:
+    """The lines each rhs twist encloses, in temporal order; a replay builds no descriptor."""
+    if isinstance(relation.rhs, TwistReplay):
+        return reversed(relation.rhs.enclosed)
+    return (d.enclosed for d in relation.rhs)
+
+
 def format_text(relation: Relation) -> str:
     lhs = _lhs_text(relation, boundary_label, "^{}")
-    rhs = " ".join(d.label for d in relation.rhs) or "1"
+    rhs = " ".join(map(twist_label, _enclosed_in_time(relation))) or "1"
     return f"{lhs} = {rhs}"
 
 
-def _latex_alpha(descriptor: TwistDescriptor) -> str:
-    ids = sorted(descriptor.enclosed)
+def _latex_alpha(enclosed: Iterable[int]) -> str:
+    ids = sorted(enclosed)
     if len(ids) == 2:
         return rf"\alpha_{{{ids[0]},{ids[1]}}}"
     return rf"\alpha_{{\{{{','.join(str(i) for i in ids)}\}}}}"
@@ -312,7 +321,7 @@ def _latex_alpha(descriptor: TwistDescriptor) -> str:
 
 def format_latex(relation: Relation) -> str:
     lhs = _lhs_text(relation, lambda boundary_id: rf"\partial_{{{boundary_id}}}", "^{{{}}}")
-    rhs = " ".join(_latex_alpha(d) for d in relation.rhs) or "1"
+    rhs = " ".join(map(_latex_alpha, _enclosed_in_time(relation))) or "1"
     return f"{lhs} = {rhs}"
 
 
@@ -549,9 +558,13 @@ def _replay(data: dict[str, Any], n: int) -> tuple[tuple[tuple[int, int], ...], 
     """A schema-4 document's lhs and rhs: the blocks, checked by `_sweep`, as a replay.
 
     The lhs is checked first, so nothing of size n is allocated before
-    the lhs lists boundaries 0..n.  The blocks are then checked by
-    `_sweep`, which finds the lines each one encloses.  No braid and no
-    descriptor is built here (see `TwistReplay`).
+    the lhs lists boundaries 0..n.  The blocks' JSON types are checked in
+    bulk, with builtins over all of them at once; only a document that
+    fails that check is read block by block (`_pair`), so it is refused at
+    the block, and with the message, that reading it block by block gives.
+    The blocks are then checked by `_sweep`, which finds the lines each
+    one encloses.  No braid and no descriptor is built here (see
+    `TwistReplay`).
     """
     lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"]))
     for i, (boundary_id, _) in enumerate(lhs):
@@ -562,7 +575,16 @@ def _replay(data: dict[str, Any], n: int) -> tuple[tuple[tuple[int, int], ...], 
             )
     if len(lhs) != n + 1:
         raise ValueError(f"lhs lists {len(lhs)} boundaries, not the {n + 1} of 0..{n}")
-    blocks = [_pair(block, f"blocks[{i}]") for i, block in enumerate(data["blocks"])]
+    raw = data["blocks"]
+    if (
+        type(raw) is list
+        and set(map(type, raw)) <= {list}
+        and set(map(len, raw)) <= {2}
+        and set(map(type, chain.from_iterable(raw))) <= {int}
+    ):
+        blocks = list(map(tuple, raw))
+    else:  # refused at the block, and with the message, that reading block by block gives
+        blocks = [_pair(block, f"blocks[{i}]") for i, block in enumerate(raw)]
     return lhs, TwistReplay(n, blocks, _sweep(blocks, n))
 
 

@@ -1,8 +1,9 @@
 """Acceptance suite: one test per criterion, one printed line per pass.
 
 Every claim checked here is an exact algebraic identity, so the tolerance
-is zero everywhere; the only numeric budgets are wall-clock ones.  Run with
-`pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
+is zero everywhere; the only numeric budgets are wall-clock, export-size and
+memory ones.  Run with `pytest tests/test_acceptance.py -v -s` to see the
+per-criterion lines.
 """
 
 import json
@@ -311,6 +312,59 @@ def test_criterion_13_scale_n120_in_bounded_memory():
         f"criterion 13 PASS: n = 120 (6784 points), shear, verify, total monodromy and "
         f"round trip in {elapsed:.2f}s, export {result['export_bytes'] / 1e6:.2f} MB, "
         f"peak RSS {peak_mb:.0f} MB"
+    )
+
+
+CRITERION_14_CHILD = """
+import json, random, resource, time
+start = time.perf_counter()
+import lanterns as L
+
+# tools/stage_sweep.py's draw for n >= 170, where random_arrangement stops
+n = 200
+rng = random.Random(0)
+slopes = rng.sample(range(-20 * n, 20 * n + 1), n)
+arr = L.validate_arrangement([(m, rng.randint(-10**6, 10**6)) for m in slopes])
+arr, t = L.shear_to_generic(arr)
+relation = L.verified_relation(arr)
+total = L.total_monodromy(arr, relation=relation)
+text = L.export_relation(relation, "json")
+parsed = L.parse_relation(text)
+print(json.dumps({
+    "points": len(relation.rhs),
+    "shear_t": str(t),
+    "verified": relation.report.verified,
+    "total_ok": total.framing == (0,) * n and total.braid == relation.rhs_element.braid,
+    "round_trip": parsed == relation and parsed.report == relation.report,
+    "export_bytes": len(text.encode()),
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,  # kB on Linux
+}))
+"""
+
+
+def test_criterion_14_scale_n200_in_one_child():
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-c", CRITERION_14_CHILD],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["points"] == 19900 and result["shear_t"] == "1/4096"
+    assert result["verified"] and result["total_ok"] and result["round_trip"]
+    assert result["export_bytes"] < 335_000
+    assert result["peak_rss_mb"] < 75
+    assert elapsed < 2.0
+    print(
+        f"criterion 14 PASS: n = 200 (19900 points), shear, verify, total monodromy and "
+        f"round trip in {elapsed:.2f}s, export {result['export_bytes'] / 1e6:.2f} MB, "
+        f"peak RSS {result['peak_rss_mb']:.0f} MB"
     )
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lanterns as L
-from lanterns.braids import BraidWord, _conjugator_through, inverse_letters, reduced_product
+from lanterns.braids import BraidWord, inverse_letters, reduced_product
 from conftest import random_arrangement, random_braid
 
 
@@ -240,20 +240,22 @@ def test_artin_image_matches_the_whole_image_kernel(case):
 
 
 @pytest.mark.parametrize(
-    "v, x, w, k, expected",
+    "n, letters, expected",
     [
-        # v = w x_k^2 ...: v x v^-1 w ends in x_k^-2, and both letters go
-        ((2, 2), 1, (), 2, (2, 2, 1)),
-        # v is a prefix of w = v x^-1 s: the junction cancels back into v's x_k^2
-        ((4, 4, 3), 1, (4, 4, 3, -1, -3), 4, ()),
+        # sigma_1^-2: its last letter, evaluated first, leaves x_2^-1 x_1 x_2
+        # in slot 2; the other conjugates x_2 through its inverse, so
+        # v = (-2,), x = -1, w = (), and v x v^-1 w ends in x_2, which goes
+        (2, (-1, -1), ((-2, 1, 2), (-2, -1, 2, 1, 2))),
+        # at sigma_1, v = (-2, 1, 2), x = x_3 and w = v x_3^-1 x_2^-1 x_1^-1:
+        # v is a prefix of w, the junction cancels x_3 and two letters of v,
+        # and the x_2^-1 left over goes
+        (3, (1, -1, 2, -1), ((2,), (-2, 1, 2, 3, -2, -1, 2), (-2, 1, 2))),
     ],
+    ids=["spelled", "prefix"],
 )
-def test_conjugator_update_strips_every_trailing_generator_letter(v, x, w, k, expected):
-    c = _conjugator_through(v, x, w, k)
-    assert c == expected
-    g = v + (x,) + inverse_letters(v)
-    h = w + (k,) + inverse_letters(w)
-    assert c + (k,) + inverse_letters(c) == L.free_reduce(g + h + inverse_letters(g))
+def test_artin_image_strips_every_trailing_generator_letter(n, letters, expected):
+    word = BraidWord(n, letters)
+    assert L.artin_image(word) == expected == _reference_right_to_left(word)
 
 
 def test_full_twist_image_is_conjugation_by_the_boundary_word():

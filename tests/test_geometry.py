@@ -6,6 +6,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lanterns as L
 from conftest import NON_GENERIC_LINES, WORKED_LINES, random_arrangement
@@ -127,6 +129,70 @@ def test_order_profiles_with_swapped_ranks_fail_the_geometry_check():
         swapped[j], swapped[j + 1] = entries[j + 1], entries[j]
         with pytest.raises(L.InvariantViolation):
             L.geometry._checked_blocks(arr, swapped)
+
+
+def _full_scan_blocks(arr, entries):
+    """The blocks, each fiber order's heights compared in full at its sample, in `Fraction`s."""
+    order = list(range(1, arr.n + 1))
+    xs = [Fraction(p, q) for p, q, _, _ in entries]
+    samples = [xs[0] + 1] + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] - 1]
+
+    def check(x):
+        heights = [arr.lines[line - 1].y_at(x) for line in order]
+        if any(a <= b for a, b in zip(heights, heights[1:])):
+            raise L.InvariantViolation(f"{order} is not the order at x={x}")
+
+    check(samples[0])
+    blocks = []
+    for (*_, members), sample in zip(entries, samples[1:]):
+        positions = sorted(order.index(line) for line in members)
+        lo, hi = positions[0], positions[-1]
+        if hi - lo + 1 != len(positions):
+            raise L.InvariantViolation(f"{sorted(members)} not contiguous in {order}")
+        order[lo : hi + 1] = reversed(order[lo : hi + 1])
+        blocks.append((lo + 1, hi + 1))
+        check(sample)
+    return tuple(blocks)
+
+
+def _outcome(checked_blocks, arr, entries):
+    try:
+        return checked_blocks(arr, entries)
+    except L.InvariantViolation:
+        return "refused"
+
+
+def _moved_past_a_neighbour(entries, j, left):
+    """Entry j with its x moved just past its left (smaller x) or right neighbour's."""
+    xs = [Fraction(p, q) for p, q, _, _ in entries]
+    step = 1 if left else -1
+    beyond = j + 2 * step
+    x = (xs[j + step] + xs[beyond]) / 2 if 0 <= beyond < len(xs) else xs[j + step] - step
+    return entries[:j] + [(x.numerator, x.denominator, *entries[j][2:])] + entries[j + 1 :]
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(
+    st.integers(2, 9),
+    st.integers(0, 10**9),
+    st.sampled_from(["ranked", "adjacent swap", "x moved"]),
+    st.integers(0, 10**6),
+)
+def test_adjacency_checks_fail_exactly_where_a_full_scan_does(n, seed, corruption, pick):
+    arr, _ = L.shear_to_generic(random_arrangement(random.Random(seed), n))
+    entries = list(L.geometry._ranked(arr)[1])
+    s = len(entries)
+    if corruption == "adjacent swap" and s > 1:
+        j = pick % (s - 1)
+        entries[j], entries[j + 1] = entries[j + 1], entries[j]
+    elif corruption == "x moved" and s > 1:
+        j = pick % s
+        left = j == 0 or (j < s - 1 and pick % 2 == 0)
+        entries = _moved_past_a_neighbour(entries, j, left)
+    outcome = _outcome(L.geometry._checked_blocks, arr, entries)
+    assert outcome == _outcome(_full_scan_blocks, arr, entries)
+    if corruption == "ranked" or s == 1:
+        assert outcome == L.geometry.fiber_blocks(arr)
 
 
 def test_shear_identity_on_generic(worked):

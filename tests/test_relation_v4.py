@@ -141,6 +141,46 @@ def test_malformed_blocks_are_refused_by_index(block, message):
     _refused(data, rf"blocks\[2\].*{message}")
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({0: []}, "blocks[0] must be two JSON integers, got 0"),
+        ({4: [2, False]}, "blocks[4] must hold JSON integers only"),
+        ({4: [[1], 2]}, "blocks[4] must hold JSON integers only"),
+        ({2: None}, "blocks[2] must be a JSON list"),
+        ({5: {"a": 1}}, "blocks[5] must be a JSON list"),
+        ({0: [0, 1]}, "blocks[0] is [0, 1], not a block of two or more in 1..5"),
+        ({2: [1], 3: "x"}, "blocks[2] must be two JSON integers, got 1"),  # the first is named
+    ],
+)
+def test_the_bulk_block_check_refuses_with_the_block_by_block_message(edits, message):
+    data = _v4()
+    assert len(data["blocks"]) == 5
+    for i, block in edits.items():
+        data["blocks"][i : i + 1] = [block]
+    with pytest.raises(ValueError) as err:
+        L.parse_relation(json.dumps(data))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ("12", "blocks[0] must be a JSON list"),
+        ({"1": 2}, "blocks[0] must be a JSON list"),
+        (12, "malformed lantern-relation/4 document: TypeError(\"'int' object is not iterable\")"),
+        (None, "malformed lantern-relation/4 document: TypeError(\"'NoneType' object is not "
+               "iterable\")"),
+    ],
+)
+def test_blocks_that_are_not_a_list_are_refused_as_before(blocks, message):
+    data = _v4()
+    data["blocks"] = blocks
+    with pytest.raises(ValueError) as err:
+        L.parse_relation(json.dumps(data))
+    assert str(err.value) == message
+
+
 def test_a_block_that_crosses_a_pair_twice_is_refused():
     data = _v4(L.verified_relation(L.validate_arrangement(WORKED_LINES)))
     assert data["blocks"] == [[2, 3], [1, 2], [2, 3]]

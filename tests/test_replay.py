@@ -76,6 +76,7 @@ class _Counts:
 
 @pytest.mark.parametrize("lines", _guarded_inputs())
 def test_verify_export_parse_and_total_build_no_descriptor_and_no_point(lines, monkeypatch):
+    # every export (JSON, text and LaTeX) reads the blocks and enclosed sets alone
     reference, _ = L.shear_to_generic(L.validate_arrangement(lines))
     eager = _eager_rhs(reference)
     eager_product = L.twist_product(eager, reference.n)
@@ -86,6 +87,7 @@ def test_verify_export_parse_and_total_build_no_descriptor_and_no_point(lines, m
     text = L.export_relation(relation, "json")
     parsed = L.parse_relation(text)
     total = L.total_monodromy(arr)
+    shown = [L.export_relation(r, fmt) for r in (relation, parsed) for fmt in ("text", "latex")]
     assert parsed == relation and parsed.report == relation.report and relation.report.verified
     assert counts == {"descriptors": 0, "points": 0, "twist_product": 0, "_link": 0}
 
@@ -93,8 +95,9 @@ def test_verify_export_parse_and_total_build_no_descriptor_and_no_point(lines, m
     assert relation.rhs_element == parsed.rhs_element == eager_product
     assert relation.rhs_element.braid.letters == eager_product.braid.letters
     assert total.braid.letters == eager_product.braid.letters and total.framing == (0,) * arr.n
-    assert text == L.export_relation(L.Relation("lantern", arr.n, relation.lhs, eager,
-                                                relation.report), "json")
+    eager_relation = L.Relation("lantern", arr.n, relation.lhs, eager, relation.report)
+    assert text == L.export_relation(eager_relation, "json")
+    assert shown == [L.export_relation(eager_relation, fmt) for fmt in ("text", "latex")] * 2
 
     # reading the right side or the points builds each object once
     s = len(relation.rhs)

@@ -8,8 +8,11 @@ one arrangement object and in this order: `shear_to_generic`, ranking and
 blocks (`geometry.fiber_blocks`), `verified_relation`, the JSON export and
 `parse_relation` of that export.  It checks that the parsed relation
 equals the verified one and that the report says verified, and reports
-its peak RSS and the export's size.  The sizes run one after another, so
-each child has the machine to itself; a child is capped at 2 GB of
+its peak RSS and the export's size.  Each size runs in 3 such children,
+one after another; a stage's time and the peak RSS are the median of the
+3 readings, reported with their spread (largest minus smallest), and the
+export must come out the same size every time.  The children run one at
+a time, so each has the machine to itself; a child is capped at 2 GB of
 address space.  The results go to `BENCH_<label>.json` in the current
 directory, and a table to stdout.  The exit code is 0 only when every
 size ran and verified.
@@ -18,8 +21,8 @@ Sizes n = 30, 60, 120 and 160 use the seed-99 generator,
 `lanterns.families.random_arrangement(Random(99), n, allow_concurrent=False)`.
 That generator stops at n = 169, so n = 200 and 300 use the n >= 170 draw:
 `rng = Random(0)`, slopes `rng.sample(range(-20n, 20n + 1), n)`, then an
-intercept `rng.randint(-10**6, 10**6)` per line.  Times are single
-`perf_counter` readings.  Standard library only; not part of the tests.
+intercept `rng.randint(-10**6, 10**6)` per line.  Each reading is one
+`perf_counter` interval.  Standard library only; not part of the tests.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -39,6 +43,8 @@ SIZES = (30, 60, 120, 160, 200, 300)
 SEED99_MAX = 169
 MEMORY_CAP = 2 << 30
 CHILD_TIMEOUT_S = 110
+READINGS = 3
+STAGES = ("shear_s", "blocks_s", "verified_relation_s", "export_s", "parse_s")
 
 
 def _arrangement(n: int):
@@ -83,7 +89,7 @@ def child(n: int) -> dict:
     return record
 
 
-def run_size(n: int) -> dict:
+def run_child(n: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, __file__, "--child", str(n)],
@@ -93,6 +99,24 @@ def run_size(n: int) -> dict:
         last = proc.stderr.strip().splitlines()[-1:]
         return {"n": n, "error": last or [f"exit {proc.returncode}"]}
     return json.loads(proc.stdout)
+
+
+def run_size(n: int) -> dict:
+    """The median of `READINGS` children's records, with each time's spread."""
+    readings = [run_child(n) for _ in range(READINGS)]
+    failed = next((r for r in readings if "error" in r), None)
+    if failed is not None:
+        return failed
+    record = dict(readings[0], readings=READINGS)
+    spread = {}
+    for key in (*STAGES, "peak_rss_mb"):
+        values = [r[key] for r in readings]
+        record[key] = statistics.median(values)
+        spread[key] = round(max(values) - min(values), 4)
+    record["spread"] = spread
+    sizes = {r["export_bytes"] for r in readings}
+    record["verified"] = len(sizes) == 1 and all(r["verified"] is True for r in readings)
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,14 +148,14 @@ def main(argv: list[str] | None = None) -> int:
     path = Path(f"BENCH_{args.label}.json")
     path.write_text(json.dumps(result, indent=1) + "\n")
 
-    columns = ("shear_s", "blocks_s", "verified_relation_s", "export_s", "parse_s")
-    print("n", "points", *columns, "export_bytes", "peak_rss_mb", sep="\t")
+    print(f"median of {READINGS} readings, +- their spread")
+    print("n", "points", *STAGES, "export_bytes", "peak_rss_mb", sep="\t")
     for r in records:
         if "error" in r:
             print(r["n"], "FAILED", *r["error"], sep="\t")
         else:
-            row = [r["points"], *(f"{r[c]:.3f}" for c in columns), r["export_bytes"]]
-            print(r["n"], *row, r["peak_rss_mb"], sep="\t")
+            times = (f"{r[c]:.3f}+-{r['spread'][c]:.3f}" for c in STAGES)
+            print(r["n"], r["points"], *times, r["export_bytes"], r["peak_rss_mb"], sep="\t")
     print(f"wrote {path} in {result['wall_s']} s")
     ok = all(r.get("verified") is True for r in records)
     return 0 if ok else 1
