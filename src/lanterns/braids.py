@@ -19,16 +19,14 @@ the pair (w, k) with w freely reduced and not ending in x_k^{+-1}: a
 normal form, so image equality is pair equality, and a letter costs one
 common-prefix scan on two conjugators (`artin_image`).
 
-A word's strand order (the strand at each position once the word has
-acted) has one derivation: replay the letters after the nearest chain
-prefix whose order is known, from the identity for a spelled word, and
-cache it on the word; products, inverses and block twists compute none.
-The order is moved, not copied, from that prefix, so a chain whose orders
-are read link by link (the monodromy's conjugators, a parsed `"extends"`
-chain) keeps one n-entry order, at its newest link, and O(n^2) memory
-where an order per link took O(n^3) (`_strand_order`).
-A product is a link of a prefix chain (u, then v's letters as its tail),
-so a word that extends another shares its letters.  Letters are
+A word is its letters: a strand count, a tuple and a length.  The word
+spells the first `length` letters of the tuple, so the conjugators of a
+relation read off a wiring diagram, beta_k = H_1 ... H_(k-1), are
+prefixes of one shared tuple H_1 ... H_s and cost no letters of their
+own (`framed.TwistReplay.descriptors`).  A product concatenates its
+factors' letters.  A word's strand order (the strand at each position
+once the word has acted) has one derivation: replay the letters from the
+identity, once, and cache it on the word (`_strand_order`).  Letters are
 validated where they enter a word, by `BraidWord(...)` and by the
 relation parser (every entry's letters in one call) through one helper,
 with builtins (`min`, `max`, `in` and the set of their types) rather than
@@ -43,10 +41,8 @@ it), not by prose.
 
 from __future__ import annotations
 
-from itertools import chain
 from operator import neg
 from typing import Iterable
-from weakref import ref
 
 # A freely reduced word in the free group: signed generator labels, +j for
 # x_j and -j for its inverse.
@@ -64,24 +60,19 @@ class StrandCountMismatch(ValueError):
 class BraidWord:
     """A word in the braid group B_n, read temporally left to right.
 
-    A word is spelled (`BraidWord(n, letters)`, its letters in one tuple)
-    or a link of a prefix chain: a product u * v is the link "u, then the
-    tail v", holding u itself rather than a copy of its letters.  A chain
-    of conjugators beta_{k+1} = beta_k * D_k thus costs the letters of its
-    tails, not of every prefix.  `letters` spells a link once, on first
-    access, walking back to the nearest spelled word, as `_strand_order`
-    walks back to the nearest link that knows its order; equality, hashing
-    and `len` never spell, nothing recurses along a chain, and words are
-    immutable.  A chain keeps one strand order, on the newest link whose
-    order was read.
+    The word spells the first `len(word)` letters of its letter tuple:
+    all of them for a word built by `BraidWord(n, letters)`, a prefix for
+    a conjugator of a replay, whose conjugators share one tuple.  Equality
+    compares letters (a shared tuple is not read), hashing reads the last
+    letter alone, and words are immutable.
     """
 
-    __slots__ = ("n", "_parent", "_tail", "_length", "_order", "_letters", "_twin", "__weakref__")
+    __slots__ = ("n", "_source", "_length", "_order")
 
-    def __init__(self, n: int, letters: Iterable[int] = ()):
+    def __new__(cls, n: int, letters: Iterable[int] = ()):
         if n < 1:
             raise ValueError(f"strand count must be >= 1, got {n}")
-        _init(self, n, None, _checked_letters(n, letters))
+        return _known(n, _checked_letters(n, letters))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"BraidWord is immutable: cannot set {name!r}")
@@ -95,46 +86,19 @@ class BraidWord:
 
     @property
     def letters(self) -> tuple[int, ...]:
-        """The word's letters; a chain link is spelled once, on first access."""
-        letters = self._letters
-        if letters is None:
-            tails = []
-            word = self
-            while word._letters is None:
-                tails.append(word._tail)
-                word = word._parent
-            tails.append(word._letters)
-            letters = tuple(chain.from_iterable(reversed(tails)))
-            _set(self, "_letters", letters)
-        return letters
+        """The word's letters: its tuple, or the prefix of a shared one."""
+        source = self._source
+        return source if self._length == len(source) else source[: self._length]
 
     @property
     def _strand_order(self) -> tuple[int, ...]:
-        """Entry p-1 is the strand at position p once the word has acted.
-
-        The order is replayed from the nearest prefix that knows its order,
-        from the identity when none does, and cached on this word.  It is
-        moved, not copied: the prefix gives its order up, so a chain read
-        link by link keeps one order, at its newest link.  Orders are
-        immutable tuples, so a moved order never changes under a caller
-        that holds it; a prefix read again replays from an older prefix.
-        """
+        """Entry p-1 is the strand at position p once the word has acted; replayed once, cached."""
         order = self._order
         if order is None:
-            links = []
-            word = self
-            while word is not None and word._order is None:
-                links.append(word)
-                word = word._parent
-            if word is None:
-                at = list(range(1, self.n + 1))
-            else:
-                at = list(word._order)
-                _set(word, "_order", None)
-            for link in reversed(links):
-                for letter in link._tail:
-                    i = abs(letter)
-                    at[i - 1], at[i] = at[i], at[i - 1]
+            at = list(range(1, self.n + 1))
+            for letter in self.letters:
+                i = abs(letter)
+                at[i - 1], at[i] = at[i], at[i - 1]
             order = tuple(at)
             _set(self, "_order", order)
         return order
@@ -146,7 +110,7 @@ class BraidWord:
             return self
         if not self._length:
             return other
-        return _link(self, other.letters)
+        return _known(self.n, self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
         return _known(self.n, inverse_letters(self.letters))
@@ -161,11 +125,14 @@ class BraidWord:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BraidWord):
             return NotImplemented
-        return self.n == other.n and self._length == other._length and _same_letters(self, other)
+        return (
+            self.n == other.n
+            and self._length == other._length
+            and (self._source is other._source or self.letters == other.letters)
+        )
 
     def __hash__(self) -> int:
-        # A link's tail is never empty, so the last letter is read without a walk.
-        return hash((self.n, self._length, self._tail[-1] if self._length else 0))
+        return hash((self.n, self._length, self._source[self._length - 1] if self._length else 0))
 
 
 _set = object.__setattr__
@@ -194,101 +161,28 @@ def _checked_letters(n: int, letters: Iterable[int]) -> tuple[int, ...]:
     return letters
 
 
-def _init(word: BraidWord, n: int, parent: BraidWord | None, tail: tuple[int, ...]) -> BraidWord:
-    """Fill the slots of `word`: `tail` after `parent`, or spelled when there is no parent."""
-    _set(word, "n", n)
-    _set(word, "_parent", parent)
-    _set(word, "_tail", tail)
-    _set(word, "_length", len(tail) if parent is None else parent._length + len(tail))
-    _set(word, "_order", None)
-    _set(word, "_letters", tail if parent is None else None)
-    _set(word, "_twin", None)
-    return word
-
-
-def _known(n: int, letters: tuple[int, ...]) -> BraidWord:
-    """A spelled word whose letters are valid by construction or already checked.
+def _known(n: int, letters: tuple[int, ...], length: int | None = None) -> BraidWord:
+    """The word of the first `length` of `letters` (all of them by default), valid already.
 
     Inverses of checked words, the twists of a checked block and letters
     that passed `_checked_letters` qualify: they are not checked a second
-    time.
+    time.  Its strand order is replayed when first read.
     """
-    return _init(object.__new__(BraidWord), n, None, letters)
+    word = object.__new__(BraidWord)
+    _set(word, "n", n)
+    _set(word, "_source", letters)
+    _set(word, "_length", len(letters) if length is None else length)
+    _set(word, "_order", None)
+    return word
 
 
-def _link(parent: BraidWord, tail: tuple[int, ...]) -> BraidWord:
-    """`parent` followed by `tail`, as one link of its chain; `parent` itself for an empty tail.
-
-    The tail's letters are valid by construction (a checked word's, or the
-    twist of a checked block) or were checked by `_checked_letters`.
-    """
-    if not tail:
-        return parent
-    return _init(object.__new__(BraidWord), parent.n, parent, tail)
-
-
-def _same_letters(u: BraidWord, v: BraidWord) -> bool:
-    """Whether two words of equal length spell the same letters.
-
-    Both are read from the end, one tail slice at a time, so no prefix is
-    spelled; the walk stops where both reach the same word (a shared chain
-    ancestor) or a pair already found equal.  Pairs of links met together
-    on a walk that finds equality remember each other (weakly), so
-    comparing every link of two separately built chains costs one walk,
-    not one per link.
-    """
-    met = []
-    a, i = u, len(u._tail)
-    b, j = v, len(v._tail)
-    while True:
-        while not i and a._parent is not None:
-            a = a._parent
-            i = len(a._tail)
-        while not j and b._parent is not None:
-            b = b._parent
-            j = len(b._tail)
-        if i == len(a._tail) and j == len(b._tail):
-            if a is b or (a._twin is not None and a._twin() is b):
-                break
-            met.append((a, b))
-        if not i:  # both words are used up: their lengths are equal
-            break
-        k = min(i, j)
-        if a._tail[i - k : i] != b._tail[j - k : j]:
-            return False
-        i -= k
-        j -= k
-    for a, b in met:
-        _set(a, "_twin", ref(b))
-        _set(b, "_twin", ref(a))
-    return True
-
-
-def divergent_tails(
-    u: BraidWord, v: BraidWord
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """The tails by which u and v extend their nearest shared chain link.
-
-    Returns u's tails and v's tails, each listed from the word's end back:
-    u is that shared link followed by the reversed list's tails, and so is
-    v.  Words on unrelated chains share only the empty prefix, and their
-    lists then spell them in full.  The walk steps along the longer word
-    first, so it costs the links beyond the shared one.
-    """
-    ours: list[tuple[int, ...]] = []
-    theirs: list[tuple[int, ...]] = []
-    while u is not v:
-        if u._parent is None and v._parent is None:
-            ours.append(u._tail)
-            theirs.append(v._tail)
-            break
-        if v._parent is None or (u._parent is not None and u._length >= v._length):
-            ours.append(u._tail)
-            u = u._parent
-        else:
-            theirs.append(v._tail)
-            v = v._parent
-    return ours, theirs
+def _common_prefix(u: BraidWord, v: BraidWord) -> int:
+    """How many leading letters u and v share; prefixes of one tuple are not read."""
+    k = min(u._length, v._length)
+    a, b = u._source, v._source
+    if a is b or a[:k] == b[:k]:
+        return k
+    return next(i for i in range(k) if a[i] != b[i])
 
 
 def reduce_onto(out: list[int], letters: Iterable[int]) -> list[int]:

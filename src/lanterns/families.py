@@ -531,7 +531,7 @@ def _structure_check(
             f"boundary exponents {list(relation.lhs)} != expected {list(expected_lhs)}"
         )
 
-    rank_sets = [d.enclosed for d in reversed(relation.rhs)]  # rank order
+    rank_sets = list(relation.rhs.enclosed)  # a replay's, in rank order: no descriptor built
     rhs_ok = rank_sets == expected_rank_sets
     if not rhs_ok:
         for k, (got, want) in enumerate(zip(rank_sets, expected_rank_sets), start=1):

@@ -16,17 +16,16 @@ Products are freely reduced as they are built: `compose_all` cancels every
 adjacent sigma_i sigma_i^{-1} pair across factor boundaries, which is a
 group identity, so a telescoping product is stored in its cancelled form.
 `twist_product` builds the product of many conjugated twists without
-spelling out their conjugators: a conjugator is a prefix chain (the
-conjugator it extends plus a tail, see `braids.BraidWord`), and where
-consecutive conjugators share a chain link only the tails beyond it are
-emitted.  Reduction only shortens words; equality is still decided by the
-Artin oracle alone.
+spelling out their conjugators: where consecutive conjugators share a
+prefix, only the letters beyond it are emitted.  Reduction only shortens
+words; equality is still decided by the Artin oracle alone.
 
 A relation read off a wiring diagram (an arrangement's sweep, or a
-schema-4 document) holds its twists as a `TwistReplay`: the checked
-blocks and the lines each one encloses.  Its product is spelled from the
-blocks alone, [H_1 ... H_s][H_s ... H_1], and its descriptors are built,
-and each checked by `TwistDescriptor`, only when a caller reads them.
+schema-4 document, or a schema-2 or schema-3 document that replays its
+blocks) holds its twists as a `TwistReplay`: the checked blocks and the
+lines each one encloses.  Its product is spelled from the blocks alone,
+[H_1 ... H_s][H_s ... H_1], and its descriptors are built only when a
+caller reads them, their conjugators prefixes of one tuple H_1 ... H_s.
 
 Dehn twist constructors:
 
@@ -55,10 +54,10 @@ from typing import Iterable
 from .braids import (
     BraidWord,
     StrandCountMismatch,
+    _common_prefix,
     _known,
-    _link,
+    _set,
     braids_equal,
-    divergent_tails,
     full_twist_block,
     half_twist_letters,
     inverse_letters,
@@ -100,12 +99,9 @@ class TwistDescriptor:
     Consistency (positions a..b of the conjugator's strand order hold
     exactly the enclosed ids; for the monodromy's beta_k that order is the
     fiber order O_{k-1}) is enforced here, keeping the algebra and the
-    curve's line set in lockstep.  The monodromy and the relation parser
-    build each conjugator as a link extending the one checked before it,
-    so each check replays only that link's tail and moves the chain's one
-    order on to its conjugator; a descriptor built later over an older
-    link replays that link's order from the nearest prefix that still
-    knows one, with the same outcome and message.
+    curve's line set in lockstep.  A `TwistReplay` builds its descriptors
+    without this check: `_sweep` or `geometry.fiber_blocks` has already
+    checked the same fact on the same blocks.
     """
 
     conjugator: BraidWord
@@ -211,13 +207,13 @@ def twist_product(descriptors: Iterable[TwistDescriptor], n: int) -> FramedEleme
 
     The product c_1 F_1 c_1^{-1} c_2 F_2 c_2^{-1} ... (F_k the full twist
     of block k) is emitted with each junction c_k^{-1} c_{k+1} spelled as
-    the inverse of c_k's tails times c_{k+1}'s tails beyond their nearest
-    shared chain link (`divergent_tails`): the shared prefix and its
-    inverse cancel freely, so they are never read.  The stream is freely
-    reduced once, and the free reduction of a word is unique, so the
-    result is letter for letter `compose_all` of the `conjugated_twist`s,
-    however the conjugators were built.  Each descriptor checked its
-    consistency when it was built; the product is checked for purity here.
+    the inverse of c_k's letters times c_{k+1}'s letters beyond their
+    longest common prefix: the shared prefix and its inverse cancel
+    freely, so they are never emitted.  The stream is freely reduced once,
+    and the free reduction of a word is unique, so the result is letter
+    for letter `compose_all` of the `conjugated_twist`s.  Each descriptor
+    checked its consistency when it was built; the product is checked for
+    purity here.
     """
     letters: list[int] = []
     framing = [0] * n
@@ -226,11 +222,9 @@ def twist_product(descriptors: Iterable[TwistDescriptor], n: int) -> FramedEleme
         conjugator = descriptor.conjugator
         if conjugator.n != n:
             raise StrandCountMismatch(f"{n} strands vs {conjugator.n} strands")
-        back, forth = divergent_tails(previous, conjugator)
-        for tail in back:
-            reduce_onto(letters, inverse_letters(tail))
-        for tail in reversed(forth):
-            reduce_onto(letters, tail)
+        shared = _common_prefix(previous, conjugator)
+        reduce_onto(letters, inverse_letters(previous.letters[shared:]))
+        reduce_onto(letters, conjugator.letters[shared:])
         reduce_onto(letters, half_twist_letters(*descriptor.block) * 2)
         for line_id in descriptor.enclosed:
             framing[line_id - 1] += 1
@@ -248,8 +242,8 @@ class TwistReplay(Sequence):
     geometry, `relation._sweep` for a document).  Entry i of the sequence
     is the twist of block s - i (s blocks, the leftmost point acting
     first), with conjugator beta_k = H_1 ... H_(k-1), H_j the half twist of
-    block j.  The descriptors are built along one conjugator chain on the
-    first index or iteration, each checked by `TwistDescriptor`, and kept.
+    block j.  The descriptors are built on the first index or iteration,
+    and kept.
 
     Two replays are equal when their strand counts and blocks are (the
     enclosed lines follow from the blocks); a replay equals the tuple of
@@ -269,15 +263,28 @@ class TwistReplay(Sequence):
         self._element = None
 
     def descriptors(self) -> tuple[TwistDescriptor, ...]:
-        """The twists in temporal order, built and checked once."""
+        """The twists in temporal order, built once.
+
+        The descriptors skip `TwistDescriptor`'s consistency check: beta_k's
+        strand order is the order before block k, whose positions a..b hold
+        the enclosed lines, and the caller checked exactly that when it
+        found them.
+        """
         built = self._descriptors
         if built is None:
-            beta = BraidWord(self.n)
+            halves = [half_twist_letters(a, b) for a, b in self.blocks]
+            word = tuple(chain.from_iterable(halves))
             sweep = []
-            for k, (block, lines) in enumerate(zip(self.blocks, self.enclosed)):
-                if k:
-                    beta = _link(beta, half_twist_letters(*self.blocks[k - 1]))
-                sweep.append(TwistDescriptor(beta, block, frozenset(lines)))
+            offset = 0
+            for half, block, lines in zip(halves, self.blocks, self.enclosed):
+                enclosed = frozenset(lines)
+                descriptor = object.__new__(TwistDescriptor)
+                _set(descriptor, "conjugator", _known(self.n, word, offset))
+                _set(descriptor, "block", block)
+                _set(descriptor, "enclosed", enclosed)
+                _set(descriptor, "label", twist_label(enclosed))
+                sweep.append(descriptor)
+                offset += len(half)
             built = self._descriptors = tuple(reversed(sweep))
         return built
 
@@ -350,9 +357,7 @@ def outer_boundary_twist(n: int) -> FramedElement:
 def conjugated_twist(descriptor: TwistDescriptor) -> FramedElement:
     """Dehn twist about the interior curve a descriptor pins down.
 
-    The braid is conjugator * block full twist * conjugator^{-1}, a link
-    of the conjugator's chain, so the purity check replays the full twist
-    and the inverse from the conjugator's order.
+    The braid is conjugator * block full twist * conjugator^{-1}.
     """
     conjugator = descriptor.conjugator
     n = conjugator.n

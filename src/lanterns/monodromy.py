@@ -52,9 +52,10 @@ the number of points on it: mu_L, the line's left exponent plus one.
 exponents mu_L - 1, and the right side as a `framed.TwistReplay` of the
 checked blocks and the lines through each point.  It calls neither
 `braid_monodromy` nor `twist_product`; the replay spells its word from
-the blocks when the relation is verified, and builds its descriptors
-(each checked by `TwistDescriptor`) only when a caller reads `rhs`.  The
-left side is never spelled there (it is central, see
+the blocks when the relation is verified, and builds its descriptors only
+when a caller reads `rhs`: their conjugators are prefixes of one tuple
+D_1 ... D_s, and their consistency is the fact `fiber_blocks` checked.
+The left side is never spelled there (it is central, see
 `relation.verify_relation`).
 
 The replay is derived once per arrangement object and kept in its
@@ -127,11 +128,11 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
     arrangement object (the lines through each point are contiguous in the
     fiber order, and every order matches the heights).  The descriptors
     are those of the arrangement's right side (`lantern_relation(arr).rhs`,
-    the same objects): point k's conjugator is beta_k, one link of a prefix
-    chain that holds beta_(k-1) rather than its letters, so the
-    descriptors share O(n^2) letters in all, and each descriptor's
-    consistency (beta_k's strand order, the fiber order O_{k-1}, holds the
-    enclosed lines on the block) is checked once, when it is built.
+    the same objects): point k's conjugator beta_k is a prefix of one
+    tuple D_1 ... D_s, so the descriptors share O(n^2) letters in all, and
+    each descriptor's consistency (beta_k's strand order, the fiber order
+    O_{k-1}, holds the enclosed lines on the block) is the fact
+    `fiber_blocks` checked, not checked again.
 
     The twists are a pure function of the immutable arrangement, so they
     are built once per arrangement object and kept in its `__dict__` next

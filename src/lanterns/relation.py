@@ -47,14 +47,14 @@ blocks when the relation is verified, [H_1 ... H_s][H_s ... H_1], which
 is letter for letter the free reduction `twist_product` makes of the
 descriptors (proof at `framed.TwistReplay.product`); `FramedElement`
 checks its purity and the Artin oracle, in every `verify_relation` call,
-decides the relation.  The descriptors are built along one conjugator
-chain, each checked by `TwistDescriptor`, only when a caller reads `rhs`;
-text and LaTeX exports read the labels off the replay's enclosed sets and
-build none.  The writer uses schema 4 exactly when
-the lhs has that form and the rhs is a replay: a `TwistReplay`, whose
-blocks it writes as they are, or a tuple of descriptors that replays
-its blocks, decided on the letters; so export, parse and export give
-the same bytes.
+decides the relation.  The descriptors are built only when a caller
+reads `rhs`, their conjugators prefixes of one word H_1 ... H_s; text and
+LaTeX exports read the labels off the replay's enclosed sets and build
+none.  The writer uses schema 4 exactly when the lhs has that form and
+the rhs is a replay: a `TwistReplay`, whose blocks it writes as they
+are, or a tuple of descriptors whose schema-3 entries replay their
+blocks (the parser's rule below, decided on the letters); so export,
+parse and export give the same bytes.
 
 Any other relation (a hand-built one: reordered factors, a left side in
 another order) is written in schema `lantern-relation/3`
@@ -62,14 +62,21 @@ another order) is written in schema `lantern-relation/3`
 rhs entry whose conjugator extends the next entry's carries
 `"extends": i + 1`, and its `"conjugator"` lists only the tail beyond
 that entry's conjugator; the writer does so exactly where the next
-conjugator is a non-empty prefix longer than the tail, again a rule on
-the letters alone.  The parser reads what the writer writes: `"extends"`
-must be i + 1, and any other value is refused, naming the entry.
-`"extends"` is the only link the parser makes: an entry without it
-(every schema-2 entry) is spelled as stored, which equals the chained
-conjugator and re-exports to the same bytes.  Schema 2, which spells
-every conjugator in full, still parses; schema 1, which also stored both
-side words, is refused.
+conjugator is a non-empty prefix longer than the tail, a rule on the
+letters alone.  Schema 2, which spells every conjugator in full, still
+parses; schema 1, which also stored both side words, is refused.
+
+A schema-2 or schema-3 document that a replay writes parses straight to
+that `TwistReplay` (`_replayed_entries`): its lhs lists 0..n in order,
+its blocks pass `_sweep`, and each entry's conjugator is H_1 ... H_(k-1),
+stored in full or as `"extends"` with the half twist H_(k-1) as its
+tail.  That is decided on the stored values in O(document), spelling no
+conjugator.  Any other document is read entry by entry (`_descriptors`):
+`"extends"` must be i + 1, any other value is refused, naming the entry,
+and each conjugator is spelled and its descriptor checked.  Spelling is
+quadratic in a long `"extends"` chain, so a document whose conjugators
+would spell more than `MAX_SPELLED_LETTERS` letters in all is refused,
+counted from the tail lengths before anything is spelled.
 """
 
 from __future__ import annotations
@@ -81,13 +88,11 @@ from itertools import chain
 from typing import Any, Callable, Iterable
 
 from .braids import (
-    BraidWord,
     FreeWord,
     _checked_letters,
+    _common_prefix,
     _known,
-    _link,
     artin_image,
-    divergent_tails,
     full_twist_block,
     half_twist_letters,
     reduced_product,
@@ -104,6 +109,10 @@ from .framed import (
 JSON_SCHEMA = "lantern-relation/4"
 JSON_SCHEMA_V3 = "lantern-relation/3"
 JSON_SCHEMA_V2 = "lantern-relation/2"
+
+# The most letters a schema-2 or schema-3 document's conjugators may spell
+# when it is read entry by entry.
+MAX_SPELLED_LETTERS = 10**6
 
 
 class UnknownFormat(ValueError):
@@ -364,42 +373,22 @@ def _report_dict(report: VerificationReport) -> dict[str, Any]:
     }
 
 
-def _tail(word: BraidWord, prefix: BraidWord) -> tuple[int, ...] | None:
-    """The tail t with word = prefix * t; None when `prefix` is not a prefix of `word`.
-
-    Decided on the letters: a link of `prefix`'s chain yields its tails
-    without spelling either word, any other pair is compared letter by
-    letter.
-    """
-    if word._parent is prefix:  # the monodromy's and the parsers' chains
-        return word._tail
-    k = len(prefix)
-    if k > len(word):
-        return None
-    ours, theirs = divergent_tails(word, prefix)
-    if not theirs:
-        return tuple(chain.from_iterable(reversed(ours)))
-    letters = word.letters
-    return letters[k:] if letters[:k] == prefix.letters else None
-
-
-def _extension(word: BraidWord, prefix: BraidWord) -> tuple[int, ...] | None:
-    """The tail t with word = prefix * t, when `prefix` is non-empty and longer than t."""
-    k = len(prefix)
-    if not 0 < k or 2 * k <= len(word):
-        return None
-    return _tail(word, prefix)
-
-
 def _entry_dict(rhs: tuple[TwistDescriptor, ...], index: int) -> dict[str, Any]:
+    """Entry `index`; it extends the next entry when that one's conjugator is a prefix of its own.
+
+    The prefix must be non-empty and longer than the tail t beyond it.
+    That is decided on the letters; prefixes of one shared tuple are not
+    compared.
+    """
     d = rhs[index]
+    letters = d.conjugator.letters
     entry: dict[str, Any] = {"label": d.label}
-    tail = None if index + 1 == len(rhs) else _extension(d.conjugator, rhs[index + 1].conjugator)
-    if tail is None:
-        entry["conjugator"] = list(d.conjugator.letters)
-    else:
+    prefix = rhs[index + 1].conjugator if index + 1 < len(rhs) else None
+    k = 0 if prefix is None else len(prefix)
+    if 0 < k and 2 * k > len(letters) and _common_prefix(d.conjugator, prefix) == k:
         entry["extends"] = index + 1
-        entry["conjugator"] = list(tail)
+        letters = letters[k:]
+    entry["conjugator"] = list(letters)
     entry["block"] = [d.block[0], d.block[1]]
     entry["enclosed"] = sorted(d.enclosed)
     return entry
@@ -446,32 +435,25 @@ def _sweep(blocks: list[tuple[int, int]], n: int) -> list[frozenset[int]]:
     return enclosed
 
 
+def _in_order(lhs: tuple[tuple[int, int], ...], n: int) -> bool:
+    """Whether the lhs lists boundary ids 0..n once each, in order."""
+    return len(lhs) == n + 1 and all(boundary_id == i for i, (boundary_id, _) in enumerate(lhs))
+
+
 def _replayed_blocks(relation: Relation) -> tuple[tuple[int, int], ...] | None:
     """The blocks, in sweep order, whose replay is `relation`; None if there are none.
 
     The lhs must list boundary ids 0..n once each, in order.  A
-    `TwistReplay` gives its blocks as they are.  A tuple, read from its
-    end, must be a wiring diagram's replay: the first conjugator is empty,
-    each later one is the one before it times the half twist of that
-    one's block, and `_sweep` accepts the blocks.
+    `TwistReplay` gives its blocks as they are; a tuple replays its blocks
+    exactly when its schema-3 entries do (`_replayed_entries`), a rule on
+    the letters alone.
     """
-    n, lhs = relation.n, relation.lhs
-    if len(lhs) != n + 1 or any(boundary_id != i for i, (boundary_id, _) in enumerate(lhs)):
+    rhs = relation.rhs
+    if not _in_order(relation.lhs, relation.n):
         return None
-    if isinstance(relation.rhs, TwistReplay):
-        return relation.rhs.blocks
-    sweep = relation.rhs[::-1]
-    blocks = [d.block for d in sweep]
-    try:
-        _sweep(blocks, n)
-    except ValueError:
-        return None
-    previous, tail = BraidWord(n), ()
-    for d in sweep:
-        if _tail(d.conjugator, previous) != tail:
-            return None
-        previous, tail = d.conjugator, half_twist_letters(*d.block)
-    return tuple(blocks)
+    if not isinstance(rhs, TwistReplay):
+        rhs = _replayed_entries([_entry_dict(rhs, i) for i in range(len(rhs))], relation.n)
+    return None if rhs is None else rhs.blocks
 
 
 def relation_to_dict(relation: Relation) -> dict[str, Any]:
@@ -511,16 +493,33 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
     One reader serves schemas 2 and 3.  An entry with `"extends": i + 1`
     gets the following entry's conjugator extended by its tail; that is
     the only link between entries, so any other entry (every v2 entry) is
-    spelled as stored, and any other `"extends"` value is refused.  Each
-    entry is checked once: its letters with every other entry's in one
-    bulk check, its consistency by `TwistDescriptor`, and its label against
-    its enclosed lines.  Only a document that fails the bulk check has its
-    letters checked entry by entry, so it is refused at the entry, and
-    with the message, that reading it entry by entry gives.  Along an
-    `"extends"` chain each descriptor check moves the order of the entry
-    it extends on (`BraidWord._strand_order`), so the chain keeps one
-    order.
+    spelled as stored, and any other `"extends"` value is refused.  Before
+    anything is spelled, the letters the conjugators would spell are
+    counted from the stored tail lengths, and a document over
+    `MAX_SPELLED_LETTERS` is refused.  The count stops at an entry that is
+    no object, has no sized tail or extends another than the next: reading
+    back, the reader refuses that entry before it spells any in front of
+    it.  Each entry is then checked once: its letters with every other
+    entry's in one bulk check, its consistency by `TwistDescriptor`, and
+    its label against its enclosed lines.  Only a document that fails the
+    bulk check has its letters checked entry by entry, so it is refused at
+    the entry, and with the message, that reading it entry by entry gives.
     """
+    total = spelled = 0
+    for index in reversed(range(len(entries))):
+        entry = entries[index]
+        if type(entry) is not dict or type(entry.get("conjugator")) not in (list, str, dict):
+            break
+        extends = "extends" in entry
+        if extends and not (type(entry["extends"]) is int and entry["extends"] == index + 1):
+            break
+        spelled = len(entry["conjugator"]) + (spelled if extends else 0)
+        total += spelled
+    if total > MAX_SPELLED_LETTERS:
+        raise ValueError(
+            f"the rhs conjugators would spell {total} letters, more than the "
+            f"{MAX_SPELLED_LETTERS} a schema-2 or schema-3 document may spell"
+        )
     try:
         tails = [entry["conjugator"] for entry in entries]
         checked = set(map(type, tails)) <= {list}
@@ -541,10 +540,9 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
                     f"of the {len(entries)}"
                 )
         letters = tuple(letters) if checked else _checked_letters(n, letters)
-        word = _link(following, letters) if "extends" in entry else _known(n, letters)
-        following = word
+        following = _known(n, following.letters + letters if "extends" in entry else letters)
         enclosed = frozenset(_ints(entry["enclosed"], "enclosed"))
-        descriptor = TwistDescriptor(word, _pair(entry["block"], "block"), enclosed)
+        descriptor = TwistDescriptor(following, _pair(entry["block"], "block"), enclosed)
         if entry["label"] != descriptor.label:
             raise ValueError(
                 f"rhs[{index}] is labeled {entry['label']!r}, but its enclosed lines "
@@ -552,6 +550,43 @@ def _descriptors(entries: list[dict[str, Any]], n: int) -> list[TwistDescriptor]
             )
         descriptors.append(descriptor)
     return descriptors[::-1]
+
+
+def _replayed_entries(entries: Any, n: int) -> TwistReplay | None:
+    """A schema-2 or schema-3 rhs as the `TwistReplay` that writes it; None if none does.
+
+    Read from the last entry back (sweep order), the blocks must pass
+    `_sweep`, and each entry's enclosed lines and label must be those
+    `_sweep` finds.  Entry i's conjugator must be beta_k = H_1 ... H_(k-1),
+    k = s - i: empty for the last entry, and for any other either
+    `"extends": i + 1` with the half twist H_(k-1) of the next entry's
+    block as its tail, or spelled in full.  Each value is read strictly
+    (`_int`, `_ints`, `_pair`) and compared with the blocks' half twists or
+    a prefix of W = H_1 ... H_s, so this takes O(document) and spells no
+    conjugator.  Any other document, malformed ones included, gives None:
+    `_descriptors` then reads it, and refuses it where it always did.
+    """
+    try:
+        sweep = entries[::-1]
+        blocks = [_pair(entry["block"], "block") for entry in sweep]
+        enclosed = _sweep(blocks, n)
+        halves = [half_twist_letters(a, b) for a, b in blocks]
+        word = tuple(chain.from_iterable(halves))
+        offset = 0
+        for k, entry in enumerate(sweep):
+            tail = _ints(entry["conjugator"], "conjugator")
+            if "extends" in entry:
+                j = _int(entry["extends"], "extends")
+                spelled = 0 < k == len(sweep) - j and tail == halves[k - 1]
+            else:
+                spelled = len(tail) == offset and tail == word[:offset]
+            lines = frozenset(_ints(entry["enclosed"], "enclosed"))
+            if not spelled or lines != enclosed[k] or entry["label"] != twist_label(lines):
+                return None
+            offset += len(halves[k])
+    except (KeyError, IndexError, TypeError, ValueError):
+        return None
+    return TwistReplay(n, blocks, enclosed)
 
 
 def _replay(data: dict[str, Any], n: int) -> tuple[tuple[tuple[int, int], ...], TwistReplay]:
@@ -610,7 +645,9 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
             lhs, rhs = _replay(data, n)
         else:
             lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"]))
-            rhs = tuple(_descriptors(data["rhs"], n))
+            rhs = _replayed_entries(data["rhs"], n) if _in_order(lhs, n) else None
+            if rhs is None:
+                rhs = tuple(_descriptors(data["rhs"], n))
         relation = Relation(name=name, n=n, lhs=lhs, rhs=rhs)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValueError(f"malformed {schema} document: {exc!r}") from exc

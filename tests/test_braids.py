@@ -5,13 +5,14 @@ import sys
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lanterns as L
-from lanterns.braids import BraidWord, inverse_letters, reduced_product
+from lanterns.braids import BraidWord, _known, inverse_letters, reduced_product
 from conftest import random_arrangement, random_braid
 
 
@@ -296,18 +297,23 @@ def test_composed_permutations_match_the_letter_loop():
 
 
 @pytest.mark.parametrize("middle_first", [True, False], ids=["middle-first", "last-first"])
-def test_orders_of_a_deep_chain_match_the_letter_loop(middle_first):
+def test_orders_of_prefixes_of_one_long_word_match_the_letter_loop(middle_first):
+    """Strand orders of prefixes of one 20,000-letter tuple, and of words built on them.
+
+    The prefixes share the tuple, as a replay's conjugators do.  Each
+    replays its own letters once and caches the order, whichever prefix
+    is read first, and no read recurses.
+    """
     rng = random.Random(17)
     n = 7
-    links = []
-    word = BraidWord(n)
-    for _ in range(10_000):  # no order is read while the chain is built
-        word = word * random_braid(rng, n, rng.randint(1, 3))
-        links.append(word)
+    tails = [random_braid(rng, n, rng.randint(1, 3)).letters for _ in range(10_000)]
+    spelled = tuple(chain.from_iterable(tails))
+    links = [_known(n, spelled, end) for end in accumulate(map(len, tails))]
     last, middle = links[-1], links[len(links) // 2]
+    assert last.letters is spelled and middle.letters == spelled[: len(middle)]
     words = [middle, last] if middle_first else [last, middle]
     words += [last.inverse(), middle * L.half_twist_block(n, 2, 6) * L.full_twist_block(n, 1, 4)]
-    # interior links read after the tip took their chain's order, and pure words on them
+    # prefixes read after a longer one, and pure words on them
     words += [links[len(links) // 4], links[-2], links[0], middle * middle.inverse()]
     words += [links[-2] * links[-2].inverse(), links[len(links) // 4] * L.full_twist_block(n, 1, n)]
     limit = sys.getrecursionlimit()
@@ -320,24 +326,6 @@ def test_orders_of_a_deep_chain_match_the_letter_loop(middle_first):
     finally:
         sys.setrecursionlimit(limit)
     assert L.is_pure(middle * middle.inverse()) and not L.is_pure(last)
-
-
-def test_a_chain_read_link_by_link_keeps_one_order_at_its_newest_link():
-    rng = random.Random(18)
-    n = 6
-    links = [BraidWord(n)]
-    for _ in range(200):
-        links.append(links[-1] * random_braid(rng, n, rng.randint(1, 3)))
-        assert L.permutation(links[-1]) == _reference_permutation(n, links[-1].letters)
-    assert [word for word in links if word._order is not None] == [links[-1]]
-    # Twigs on an interior link replay from the chain's root and leave no
-    # order on the chain: only the newest link keeps the one it had.
-    branch = links[100]
-    twigs = [branch * random_braid(rng, n, 2) for _ in range(3)]
-    for twig in twigs:
-        assert L.permutation(twig) == _reference_permutation(n, twig.letters)
-    assert [word for word in links if word._order is not None] == [links[-1]]
-    assert L.permutation(branch) == _reference_permutation(n, branch.letters)
 
 
 def _reference_rejects(n, letter):

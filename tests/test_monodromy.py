@@ -239,12 +239,12 @@ def test_total_monodromy_reuses_the_kept_monodromy(monkeypatch):
     assert calls == ["half_twist_letters"] * 3
 
 
-def test_descriptors_over_links_whose_order_moved_on_check_like_spelled_ones():
-    """The monodromy's checks move each chain order on to the next conjugator.
+def test_replayed_descriptors_check_like_spelled_ones():
+    """The monodromy's descriptors, built unchecked over prefixes of one shared word.
 
-    A descriptor built by hand over an older conjugator replays its order
-    again: it accepts the same block, and refuses a shifted one with the
-    message a spelled copy of the conjugator gives.
+    Rebuilt by `TwistDescriptor` over the prefix conjugator, each accepts
+    its block, and refuses a shifted one with the message a spelled copy
+    of the conjugator gives; the two conjugators have one permutation.
     """
     arr, _ = L.shear_to_generic(random_arrangement(random.Random(99), 12, allow_concurrent=False))
     n = arr.n

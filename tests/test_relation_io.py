@@ -2,9 +2,13 @@
 
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -406,13 +410,112 @@ def test_entries_extending_one_entry_parse_in_linear_time():
     assert time.perf_counter() - start < 0.5
 
 
-def test_a_relation_keeps_one_strand_order_per_chain():
+SPELLING_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import lanterns as L
+text = sys.stdin.read()
+start = time.perf_counter()
+try:
+    L.parse_relation(text)
+    message = None
+except ValueError as exc:
+    message = str(exc)
+print(json.dumps({"message": message, "elapsed_s": time.perf_counter() - start}))
+"""
+
+
+def _one_letter_chain(s):
+    """A valid n = 2 schema-3 document: entry i extends entry i + 1 by sigma_1, s entries."""
+    entries = []
+    for i in range(s):
+        line = 1 + (s - 1 - i) % 2  # the strand at position 1 after sigma_1^(s - 1 - i)
+        entry = {"label": L.twist_label([line])}
+        if i < s - 1:
+            entry["extends"] = i + 1
+        entry["conjugator"] = [1] if i < s - 1 else []
+        entry["block"], entry["enclosed"] = [1, 1], [line]
+        entries.append(entry)
+    document = {"schema": "lantern-relation/3", "name": "chain", "n": 2, "lhs": [[0, 1]]}
+    return json.dumps(dict(document, rhs=entries, report=None))
+
+
+def test_a_long_extends_chain_is_refused_by_its_letter_count():
+    """A 1.07 MB document whose conjugators would spell 72 million letters.
+
+    12,000 one-letter tails, each extending the next entry: spelled entry
+    by entry they cost quadratic time and memory (6 s and 586 MB when a
+    parser spelled them).  The count comes from the tail lengths, so the
+    document is refused before any is spelled, in a child capped at 1 GB
+    of address space.
+    """
+    text = _one_letter_chain(12_000)
+    assert len(text) > 1_000_000
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPELLING_CHILD],
+        input=text,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    spelled = 12_000 * 11_999 // 2
+    assert result["message"] is not None and f"spell {spelled} letters" in result["message"]
+    assert result["elapsed_s"] < 1.0, result
+    # a short chain is under the bound and parses, spelled entry by entry
+    short = L.parse_relation(_one_letter_chain(1000))
+    assert type(short.rhs) is tuple and len(short.rhs[0].conjugator) == 999
+
+
+def _replay_shaped_v3():
+    """A seeded relation's schema-3 document, which parses to a `TwistReplay`."""
+    arr, _ = L.shear_to_generic(random_arrangement(random.Random(39), 7, allow_concurrent=False))
+    data = L.relation_to_v3_dict(L.verified_relation(arr))
+    assert isinstance(L.parse_relation(json.dumps(data)).rhs, L.framed.TwistReplay)
+    return data
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("where", ["block", "enclosed", "tail", "spelled", "extends"])
+def test_a_replay_shaped_v3_document_reads_its_integers_strictly(where, value):
+    """Swapping a stored 1 for `true` or `1.0` is refused, also where replay detection compares.
+
+    The values are equal under `==`, so a replay-shaped document would
+    read as the same relation if the detection compared them loosely.
+    """
+    data = _replay_shaped_v3()
+    entries = data["rhs"]
+    extending = [e for e in entries if "extends" in e and 1 in e["conjugator"]]
+    spelled = [e for e in entries if "extends" not in e and 1 in e["conjugator"]]
+    if where == "block":
+        entry = next(e for e in entries if 1 in e["block"])
+        entry["block"][entry["block"].index(1)] = value
+    elif where == "enclosed":
+        entry = next(e for e in entries if 1 in e["enclosed"])
+        entry["enclosed"][entry["enclosed"].index(1)] = value
+    elif where == "extends":
+        entry = next(e for e in entries if e.get("extends") == 1)
+        entry["extends"] = value
+    else:
+        entry = (extending if where == "tail" else spelled)[0]
+        entry["conjugator"][entry["conjugator"].index(1)] = value
+    with pytest.raises(ValueError):
+        L.parse_relation(json.dumps(data))
+
+
+def test_relations_and_monodromy_stay_in_their_memory_budgets():
     """Memory guard, seed 99 at n = 60 (1690 points), measured with tracemalloc.
 
-    The arrangement's kept monodromy after `verified_relation`, and the
-    relation parsed back, hold about 1.05 and 1.2 MB on Python 3.11-3.13
-    (1.3 and 1.2 MB on 3.10): a conjugator chain keeps one strand order.
-    With an n-entry order kept on every link they held 1.9 and 2.0 MB.
+    What `verified_relation` leaves on the arrangement, and the relation
+    parsed back from its export, hold about 0.05 and 0.52 MB on Python
+    3.11: a replay keeps its blocks and enclosed sets, not descriptors.
+    The monodromy's descriptors then hold about 1.6 MB: their conjugators
+    are prefixes of one shared word, where a conjugator spelled in full
+    each would hold about 12 MB of letters.
     """
 
     def traced(build):
@@ -433,6 +536,8 @@ def test_a_relation_keeps_one_strand_order_per_chain():
     parsed, size = traced(lambda: L.parse_relation(text))
     assert relation.report.verified and parsed.report.verified
     assert kept < 1.6e6 and size < 1.75e6, (kept, size)
+    _, monodromy = traced(lambda: L.braid_monodromy(arr))
+    assert monodromy < 2.5e6, monodromy
 
 
 def test_swapped_v3_entries_never_verify():
@@ -476,7 +581,12 @@ def test_v3_stored_letters_are_quadratic_at_n30():
     assert stored <= 30 * 29 // 2 * 29
 
 
-def test_long_chain_compares_and_spells_without_recursion():
+def test_long_products_compare_and_spell_without_recursion():
+    """Two 6,784-factor products, built separately, compare, hash and spell as one word.
+
+    A product concatenates letters, so neither reading recurses, and a
+    one-letter change at the end is told apart.
+    """
     n, links = 5, 6784
     rng = random.Random(37)
     tails = [random_braid(rng, n, rng.randint(1, 3)) for _ in range(links)]

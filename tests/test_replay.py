@@ -16,7 +16,7 @@ from conftest import NON_GENERIC_LINES, WORKED_LINES, random_arrangement
 
 
 def _eager_chain(n, blocks, enclosed):
-    """The right side as the eager monodromy built it: a checked descriptor per block, one chain."""
+    """The right side as the eager monodromy built it: a checked descriptor per block, conjugators multiplied out."""
     beta = BraidWord(n)
     built = []
     for block, lines in zip(blocks, enclosed):
@@ -52,7 +52,7 @@ class _Counts:
     """Counts the objects and calls the verify path must not make, from `install` on."""
 
     def __init__(self, monkeypatch):
-        self.counts = dict.fromkeys(["descriptors", "points", "twist_product", "_link"], 0)
+        self.counts = dict.fromkeys(["descriptors", "points", "twist_product"], 0)
         self.monkeypatch = monkeypatch
 
     def _count(self, key, owner, name):
@@ -64,13 +64,24 @@ class _Counts:
 
         self.monkeypatch.setattr(owner, name, counting)
 
+    def _count_replayed(self):
+        """Count each descriptor a replay builds: they skip `TwistDescriptor.__post_init__`."""
+        function = TwistReplay.descriptors
+
+        def counting(replay):
+            fresh = replay._descriptors is None
+            built = function(replay)
+            self.counts["descriptors"] += len(built) if fresh else 0
+            return built
+
+        self.monkeypatch.setattr(TwistReplay, "descriptors", counting)
+
     def install(self):
         self._count("descriptors", TwistDescriptor, "__post_init__")
+        self._count_replayed()
         self._count("points", IntersectionPoint, "__init__")
         for module in (L.framed, L.relation):
             self._count("twist_product", module, "twist_product")
-        for module in (L.braids, L.framed, L.relation):
-            self._count("_link", module, "_link")
         return self.counts
 
 
@@ -89,7 +100,7 @@ def test_verify_export_parse_and_total_build_no_descriptor_and_no_point(lines, m
     total = L.total_monodromy(arr)
     shown = [L.export_relation(r, fmt) for r in (relation, parsed) for fmt in ("text", "latex")]
     assert parsed == relation and parsed.report == relation.report and relation.report.verified
-    assert counts == {"descriptors": 0, "points": 0, "twist_product": 0, "_link": 0}
+    assert counts == {"descriptors": 0, "points": 0, "twist_product": 0}
 
     # the eager chain's results, letter for letter
     assert relation.rhs_element == parsed.rhs_element == eager_product
@@ -111,6 +122,59 @@ def test_verify_export_parse_and_total_build_no_descriptor_and_no_point(lines, m
     assert L.intersections(arr) is points and counts["points"] == s
     assert [p.lines for p in points] == [p.lines for p in L.intersections(reference)]
     assert counts["twist_product"] == 0
+
+
+@pytest.mark.parametrize("lines", _guarded_inputs())
+def test_replayed_descriptors_equal_checked_ones_over_spelled_conjugators(lines):
+    """A replay's descriptors skip the consistency check; these make it.
+
+    Each conjugator H_1 ... H_(k-1) is spelled into its own tuple from the
+    checked blocks, and `TwistDescriptor` checks that its strand order
+    holds the lines through point k on block k.
+    """
+    arr, _ = L.shear_to_generic(L.validate_arrangement(lines))
+    relation = L.verified_relation(arr)
+    blocks, n = fiber_blocks(arr), arr.n
+    checked, spelled = [], []
+    for block, point in zip(blocks, L.intersections(arr)):
+        checked.append(TwistDescriptor(BraidWord(n, spelled), block, frozenset(point.lines)))
+        spelled += L.half_twist_block(n, *block).letters
+    assert isinstance(relation.rhs, TwistReplay) and relation.rhs.blocks == tuple(blocks)
+    assert relation.rhs == tuple(checked[::-1])
+    assert [d.label for d in relation.rhs] == [d.label for d in checked[::-1]]
+    for replayed, made in zip(relation.rhs, checked[::-1]):
+        assert replayed.conjugator._strand_order == made.conjugator._strand_order
+
+
+def _v2_dict(relation):
+    """The schema-2 document: the schema-3 one with every conjugator spelled in full."""
+    data = L.relation_to_v3_dict(relation)
+    for entry, d in zip(data["rhs"], relation.rhs):
+        entry.pop("extends", None)
+        entry["conjugator"] = list(d.conjugator.letters)
+    return dict(data, schema="lantern-relation/2")
+
+
+@pytest.mark.parametrize("schema", [2, 3])
+def test_replay_shaped_v2_and_v3_documents_parse_to_a_replay(schema, monkeypatch):
+    """The schema-2 and schema-3 exports of a seeded n = 30 relation read back as its replay.
+
+    Detection reads the stored values once and builds no descriptor; the
+    relation parsed is the verified one, and re-exports to the same bytes.
+    """
+    arr, _ = L.shear_to_generic(random_arrangement(random.Random(99), 30, allow_concurrent=False))
+    relation = L.verified_relation(arr)
+    data = _v2_dict(relation) if schema == 2 else L.relation_to_v3_dict(relation)
+    text = json.dumps(data)
+    assert ('"extends"' in text) == (schema == 3)
+
+    counts = _Counts(monkeypatch).install()
+    parsed = L.parse_relation(text)
+    assert isinstance(parsed.rhs, TwistReplay) and parsed.report == relation.report
+    assert parsed == relation and parsed.rhs.blocks == relation.rhs.blocks
+    assert L.export_relation(parsed, "json") == L.export_relation(relation, "json")
+    assert counts == {"descriptors": 0, "points": 0, "twist_product": 0}
+    assert json.dumps(L.relation_to_v3_dict(parsed)) == json.dumps(L.relation_to_v3_dict(relation))
 
 
 def test_a_replay_compares_hashes_and_replaces_like_its_descriptors(worked):
