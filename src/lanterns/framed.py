@@ -22,8 +22,8 @@ words; equality is still decided by the Artin oracle alone.
 
 A relation read off a wiring diagram (an arrangement's sweep, or a
 schema-4 document, or a schema-2 or schema-3 document that replays its
-blocks) holds its twists as a `TwistReplay`: the checked blocks and the
-lines each one encloses.  Its product is spelled from the blocks alone,
+blocks) holds its twists as a `TwistReplay`: the blocks and the lines
+each one encloses.  Its product is spelled from the blocks alone,
 [H_1 ... H_s][H_s ... H_1], and its descriptors are built only when a
 caller reads them, their conjugators prefixes of one tuple H_1 ... H_s.
 
@@ -100,8 +100,9 @@ class TwistDescriptor:
     exactly the enclosed ids; for the monodromy's beta_k that order is the
     fiber order O_{k-1}) is enforced here, keeping the algebra and the
     curve's line set in lockstep.  A `TwistReplay` builds its descriptors
-    without this check: `_sweep` or `geometry.fiber_blocks` has already
-    checked the same fact on the same blocks.
+    without this check: the same fact holds on the same blocks by
+    construction (`geometry._sweep` reverses the point's lines as its
+    block) or was checked (`relation._sweep`, for a document).
     """
 
     conjugator: BraidWord
@@ -238,8 +239,8 @@ class TwistReplay(Sequence):
 
     `blocks` lists the diagram's position blocks in sweep order from the
     basepoint, and `enclosed[k]` the lines at block k in the order before
-    it; the caller has checked both (`geometry.fiber_blocks` against the
-    geometry, `relation._sweep` for a document).  Entry i of the sequence
+    it; the caller vouches for both (`geometry._sweep` derives them
+    together, `relation._sweep` checks a document's).  Entry i of the sequence
     is the twist of block s - i (s blocks, the leftmost point acting
     first), with conjugator beta_k = H_1 ... H_(k-1), H_j the half twist of
     block j.  The descriptors are built on the first index or iteration,

@@ -8,50 +8,50 @@ of the lines is exactly 1, 2, ..., n.
 
 Everything here is exact: coefficients are `fractions.Fraction`, equality
 tests are decidable, and identical input produces bit-identical output.  No
-float is ever consulted.  The kernels run on integers: points are grouped
-by integer keys over the common denominator of all coefficients, ranked on
-the integer floor(2^B * x), B twice the bit length of the largest
-denominator of a point's x (a key no two distinct x's share), and every
-fiber order is checked against integer heights at integer sample pairs
-(p, q) standing for x = p/q, each adjacent pair of lines at the two ends
-of the run of orders in which it is adjacent (`_checked_blocks`).
+float is ever consulted, and the kernels run on integers over the common
+denominator of all coefficients.
 
-Intersection points are ranked by strictly decreasing x-coordinate.  Two
-distinct points sharing an x-coordinate violate the genericity the ranking
+One right-to-left sweep (`_sweep`, Bentley & Ottmann) derives an
+arrangement's combinatorics: it keeps the top-to-bottom order of the lines
+and a heap of the crossings of adjacent pairs, and each event reverses the
+run of adjacent lines through one point.  It yields the points in order of
+strictly decreasing x, each as the set of lines through it, and the block
+each one reverses (the allowable sequence of Goodman & Pollack), which is
+therefore right by construction: nothing is ranked afterwards and no
+fiber order is checked against heights.  Two
+distinct points sharing an x-coordinate violate the genericity the sweep
 needs; that raises `NonGenericX` instead of being silently perturbed, and
 `shear_to_generic` performs the repair explicitly when the caller asks.
-It tests each candidate shear by projecting the grouped points, and only
-the shear it picks builds and groups lines.
+It groups the points only then (`_group_points`), tests each candidate
+shear by projecting them, and sweeps the one it picks.
 
-The ranked points and the block each one reverses (the arrangement's
-allowable sequence) are a pure function of the immutable `Arrangement`,
-so they are derived and checked once per arrangement object and kept in
-its `__dict__`, outside equality, hashing and repr.  The ranking keeps
-integer entries (p, q, h, members), the point (p/q, h/(D*q)) and the set
-of lines through it (`_ranked`): the genericity and pair-count checks,
-`fiber_blocks` (with its contiguity and height checks) and
-`line_multiplicities` read those, and no `Fraction` is built for them.
-`intersections` builds its `IntersectionPoint`s from the entries on its
-first call, and `NonGenericX` builds only the two points that clash.
-The kept results are `_groups` (the grouping, dropped once the points
-are ranked), `_ranked`, `_points` (once asked for), `_blocks`, and
-`monodromy`'s `_replay` (the relation's right side, a lazy
-`framed.TwistReplay` of the blocks) and `_twists` (once asked for).
+The sweep is a pure function of the immutable `Arrangement`, so it runs
+once per arrangement object and is kept in its `__dict__` as `_sweep`,
+outside equality, hashing and repr; `shear_to_generic` leaves its sweep on
+the arrangement it returns.  `fiber_blocks`, `order_profiles`,
+`line_multiplicities` and `monodromy`'s right side read it, and no
+`Fraction` is built for them.  `intersections` builds its
+`IntersectionPoint`s from those sets on its first call and keeps them as
+`_points`, and `NonGenericX` builds only the two points that clash.
+`monodromy` keeps `_replay` (the relation's right side, a lazy
+`framed.TwistReplay` of the blocks) and `_twists` (once asked for) too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd, lcm
-from operator import gt, itemgetter
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Sequence
 
 Rational = Fraction
 # Accepted spellings of an exact rational input value.  Floats are rejected
 # on purpose: they smuggle binary rounding into an exact pipeline.
 RationalLike = Fraction | int | str
+# A sweep's result: the lines through each point, and the block it reverses.
+Swept = tuple[tuple[frozenset[int], ...], tuple[tuple[int, int], ...]]
 
 
 class DuplicateSlope(ValueError):
@@ -223,7 +223,8 @@ def _group_points(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set
     = p/q in lowest terms with q > 0, and D*q*y = M_a*p + C_a*q there.  The
     key (p, q, M_a*p + C_a*q) therefore names the point exactly, with no
     `Fraction` arithmetic per pair.  Returns D and the line ids on each key;
-    the point is (p/q, key[2]/(D*q)).
+    the point is (p/q, key[2]/(D*q)).  Only `shear_to_generic` groups, and
+    only an arrangement whose sweep raised `NonGenericX`.
     """
     scale, coefficients = _integer_coefficients(arr)
     groups: dict[tuple[int, int, int], set[int]] = {}
@@ -238,222 +239,160 @@ def _group_points(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set
     return scale, groups
 
 
-def _grouping(arr: Arrangement) -> tuple[int, dict[tuple[int, int, int], set[int]]]:
-    """`_group_points(arr)`, computed once per arrangement object and kept on it."""
-    grouped = arr.__dict__.get("_groups")
-    if grouped is None:
-        grouped = arr.__dict__["_groups"] = _group_points(arr)
-    return grouped
+def _sweep(arr: Arrangement, k: int | None = None) -> Swept:
+    """The points and blocks of one right-to-left sweep (Bentley & Ottmann, 1979).
 
+    Returns (points, blocks) in sweep order: each point is the frozenset
+    of lines through it, each block the 1-based positions [lo, hi] it
+    reverses.  With k, the sweep is that of the shear by t = 2^-k
+    (`_shear_lines`), keyed from `arr`'s own lines, whose common
+    denominator stays small.
 
-def _ranked(arr: Arrangement) -> tuple[int, tuple[tuple[int, int, int, set[int]], ...]]:
-    """D and the grouped points ranked by decreasing x, as entries (p, q, h, members).
+    The order starts as 1..n.  A heap holds each adjacent pair whose upper
+    line u is steeper (u < v), keyed on where they cross.  With M, C and
+    D as in `_group_points`, and A = 1 for each line (no shear) or
+    A = D*2^k - M, the value (C_u*A_v - C_v*A_u)/(M_u - M_v) is -x at the
+    crossing (x, y), or -(D/t)*(x - t*y) for the shear: it falls as the
+    crossing moves right in the swept plane.  The key is floor(2^B times
+    that value), B = 2 * bit_length(M_1 - M_n).  Denominators are at most
+    M_1 - M_n, so distinct values differ by more than 2^-B and never share
+    a key: equal keys are equal x.  The key stays inside the sweep.
 
-    Computed once per arrangement object and kept on it (the grouping it
-    was read from is then dropped).  Raises `NonGenericX` when two
-    distinct points share an x-coordinate.
+    Each step pops every entry at the smallest key; a pair pushed twice
+    (adjacent again after a line passed between them) is popped twice and
+    counted once.  The upper positions chain into runs, and one run is one
+    point: just right of it, its lines are near its height and no other
+    line is, so they are contiguous and each adjacent pair among them
+    crosses there.  The run is reversed, and the two pairs at its new
+    boundary are pushed; pairs inside it never cross again.  Two runs at
+    one key are two points at one x: `NonGenericX` names the two with the
+    smallest top lines, in that order (the order `_group_points` meets
+    them in).  A popped pair is always adjacent: a line between them just
+    right of their crossing is squeezed through it, so it is one of the
+    point's lines; it meets each of the two there only, so it has lain
+    between them since the far right, and the pair was never pushed.
+    Every block is an increasing run made decreasing, so no pair crosses
+    twice, and a final order n..1 means every pair crossed once: the
+    blocks are an allowable sequence (Goodman & Pollack, 1984) by
+    construction, and any other final order raises `InvariantViolation`.
     """
-    ranked = arr.__dict__.get("_ranked")
-    if ranked is None:
+    n = arr.n
+    scale, coefficients = _integer_coefficients(arr)
+    lines = [(m, c, 1 if k is None else (scale << k) - m) for m, c in coefficients]
+    bits = 2 * (lines[0][0] - lines[-1][0]).bit_length()
+
+    def crossing(u: int, v: int) -> tuple[int, int, int]:
+        mu, cu, au = lines[u - 1]
+        mv, cv, av = lines[v - 1]
+        return ((cu * av - cv * au) << bits) // (mu - mv), u, v
+
+    order = list(range(1, n + 1))
+    where = list(range(-1, n))  # where[line id] = its 0-based position in `order`
+    heap = [crossing(u, u + 1) for u in range(1, n)]
+    heapify(heap)
+    points, blocks = [], []
+    while heap:
+        key, u, _ = heappop(heap)
+        tops = {where[u]}
+        while heap and heap[0][0] == key:
+            tops.add(where[heappop(heap)[1]])
+        lo, hi = min(tops), max(tops) + 1
+        if hi - lo != len(tops):
+            runs: list[list[int]] = []
+            for p in sorted(tops):
+                if p - 1 in tops:
+                    runs[-1].append(order[p + 1])
+                else:
+                    runs.append(order[p : p + 2])
+            first, second = sorted(runs)[:2]
+            raise NonGenericX(
+                _located(scale, coefficients, first), _located(scale, coefficients, second)
+            )
+        run = order[lo : hi + 1]
+        points.append(frozenset(run))
+        run.reverse()
+        order[lo : hi + 1] = run
+        for p, line_id in enumerate(run, lo):
+            where[line_id] = p
+        blocks.append((lo + 1, hi + 1))
+        if lo and order[lo - 1] < run[0]:
+            heappush(heap, crossing(order[lo - 1], run[0]))
+        if hi + 1 < n and run[-1] < order[hi + 1]:
+            heappush(heap, crossing(run[-1], order[hi + 1]))
+    if order != list(range(n, 0, -1)):
+        raise InvariantViolation(f"the sweep ends in order {tuple(order)}, not n..1")
+    return tuple(points), tuple(blocks)
+
+
+def _swept(arr: Arrangement) -> Swept:
+    """`_sweep(arr)`, computed once per arrangement object and kept on it."""
+    swept = arr.__dict__.get("_sweep")
+    if swept is None:
         if arr.n < 2:
             raise ValueError("intersections need at least two lines")
-        ranked = arr.__dict__["_ranked"] = _ranked_entries(arr, *_grouping(arr))
-        arr.__dict__.pop("_groups", None)
-    return ranked
+        swept = arr.__dict__["_sweep"] = _sweep(arr)
+    return swept
+
+
+def _located(
+    scale: int, coefficients: list[tuple[int, int]], lines: Collection[int]
+) -> tuple[Fraction, Fraction, tuple[int, ...]]:
+    """(x, y, sorted line ids) of the point the lines meet at.
+
+    With a and b the smallest and largest line id, x = (C_b - C_a)/(M_a - M_b)
+    and D*y = M_a*x + C_a = (M_a*C_b - M_b*C_a)/(M_a - M_b).
+    """
+    (ma, ca), (mb, cb) = coefficients[min(lines) - 1], coefficients[max(lines) - 1]
+    q = ma - mb
+    return Fraction(cb - ca, q), Fraction(ma * cb - mb * ca, scale * q), tuple(sorted(lines))
 
 
 def intersections(arr: Arrangement) -> tuple[IntersectionPoint, ...]:
-    """All intersection points, grouped exactly and ranked by decreasing x.
+    """All intersection points, ranked by decreasing x: the sweep's points, in sweep order.
 
-    Points are ranked on an integer key that is strictly monotone in x (see
-    `_ranked_entries`), and no float is consulted.  The points are built
-    from the kept ranked entries on the first call and kept on the
+    Built from each point's lines on the first call and kept on the
     arrangement object.  Raises `NonGenericX` when two distinct points
     share an x-coordinate.
     """
     points = arr.__dict__.get("_points")
     if points is None:
-        scale, entries = _ranked(arr)
+        swept = _swept(arr)[0]
+        scale, coefficients = _integer_coefficients(arr)
         points = arr.__dict__["_points"] = tuple(
-            IntersectionPoint(*_located(scale, entry), rank)
-            for rank, entry in enumerate(entries, start=1)
+            IntersectionPoint(*_located(scale, coefficients, lines), rank)
+            for rank, lines in enumerate(swept, start=1)
         )
     return points
-
-
-def _ranked_entries(
-    arr: Arrangement, scale: int, groups: dict[tuple[int, int, int], set[int]]
-) -> tuple[int, tuple[tuple[int, int, int, set[int]], ...]]:
-    """The grouped points ranked by decreasing x = p/q, checked for genericity and pair count.
-
-    One sort on the key floor(2^B * p/q), B = 2 * bit_length(max q).  The
-    key is monotone in x, and injective on distinct x's: p1/q1 != p2/q2
-    differ by at least 1/(q1*q2) >= 1/max(q)^2 > 2^-B, so their keys
-    differ.  Equal keys therefore mean equal x, and two distinct points
-    with equal keys are adjacent after the sort.
-    """
-    bits = 2 * max(q for _, q, _ in groups).bit_length()
-    located = sorted(
-        (((p << bits) // q, p, q, h, members) for (p, q, h), members in groups.items()),
-        key=itemgetter(0),
-        reverse=True,
-    )
-    for first, second in zip(located, located[1:]):
-        if first[0] == second[0]:
-            raise NonGenericX(_located(scale, first[1:]), _located(scale, second[1:]))
-    pair_count = sum(len(entry[4]) * (len(entry[4]) - 1) // 2 for entry in located)
-    if pair_count != arr.n * (arr.n - 1) // 2:
-        raise InvariantViolation(
-            f"pair count {pair_count} != C({arr.n},2); intersection grouping is broken"
-        )
-    return scale, tuple(entry[1:] for entry in located)
-
-
-def _located(scale: int, entry: tuple) -> tuple[Fraction, Fraction, tuple[int, ...]]:
-    """(x, y, sorted line ids) of a ranked entry (p, q, h, members)."""
-    p, q, h, members = entry
-    return Fraction(p, q), Fraction(h, scale * q), tuple(sorted(members))
 
 
 def line_multiplicities(arr: Arrangement) -> dict[int, int]:
     """Number of intersection points on each line, keyed by line id."""
     mu = {line.id: 0 for line in arr.lines}
-    for *_, members in _ranked(arr)[1]:
-        for line_id in members:
+    for lines in _swept(arr)[0]:
+        for line_id in lines:
             mu[line_id] += 1
     return mu
 
 
-def _check_heights(
-    j: int,
-    order: list[int],
-    coefficients: list[tuple[int, int]],
-    p: int,
-    q: int,
-    spans: Sequence[tuple[int, int]],
-) -> None:
-    """At the sample x = p/q (q > 0) heights must strictly decrease along each span of profile j.
-
-    Each span (start, stop) is a slice of positions of the order; within
-    it, sorting the lines by height at x must give the order with no two
-    heights equal, which takes one evaluation per position and no sort.
-    `coefficients` holds each line's integers (D*slope, D*intercept), D the
-    common denominator of all coefficients, in the order's line order, so
-    the integers D*q*y = (D*slope)*p + (D*intercept)*q order the heights
-    exactly; they are compared with a C-level `map`.
-    """
-    for start, stop in spans:
-        heights = [m * p + c * q for m, c in coefficients[start:stop]]
-        if not all(map(gt, heights, heights[1:])):
-            k = start + next(k for k in range(len(heights) - 1) if heights[k] <= heights[k + 1])
-            raise InvariantViolation(
-                f"profile {j} is {tuple(order)}, but at x={Fraction(p, q)} line {order[k]} is "
-                f"not above line {order[k + 1]}"
-            )
-
-
-def _checked_blocks(
-    arr: Arrangement, entries: Sequence[tuple[int, int, int, set[int]]]
-) -> tuple[tuple[int, int], ...]:
-    """The position block B_j = [lo, hi] reversed at each point, checked against the geometry.
-
-    `entries` are the ranked points (p, q, h, members), x = p/q in lowest
-    terms and strictly decreasing (`_ranked`).  O_0 is the identity order
-    (1, ..., n), and O_j arises from O_{j-1} by reversing the block of
-    lines through the rank-j point, which must be contiguous; a line ->
-    position array finds the block, so the block holds exactly the point's
-    lines.  Each O_j is checked at a sample x_j' inside its interval: x_1 +
-    1 right of every point, the midpoint (ad + cb)/(2bd) of consecutive x's
-    a/b and c/d, and x_s - 1 left of them, all as integer pairs, strictly
-    decreasing in j.
-
-    The check is on adjacent pairs, each at the two ends of its run.  O_j
-    is right at x_j' when every pair of lines adjacent in O_j is in its
-    order there.  A pair adjacent in O_j1 .. O_j2 (with the same line above)
-    is checked at x_j1' and x_j2' only: two lines cross once, so the x
-    where one lies above the other form a half-line, and a half-line that
-    holds x_j1' and x_j2' holds every sample between them.  A pair stops
-    being adjacent only when a block touches it, so a run starts at O_0 or
-    at the pairs in and beside block j (born at step j, checked at x_j'),
-    and ends at O_s or at the pairs in and beside block j + 1 (dying at
-    step j + 1, checked at x_j' too).  O_0 and O_s are scanned in full; at
-    every other sample one `_check_heights` call covers both slices of
-    positions, as one slice when they meet.  So the check passes and fails
-    on exactly the inputs a full scan of every O_j does, at
-    O(n + sum of block sizes) height evaluations instead of O(n * points).
-    A violation aborts because it can only mean broken arithmetic, never
-    bad input.
-    """
-    n = arr.n
-    _, coefficients = _integer_coefficients(arr)
-    order = list(range(1, n + 1))
-    where = list(range(-1, n))  # where[line id] = its 0-based position in `order`
-    a, b = entries[0][:2]  # a/b is the x of the point before, x_1 at first
-    everything = ((0, n),)
-    _check_heights(0, order, coefficients, a + b, b, everything)
-    born_start = born_stop = 0  # the slice of positions in and beside the previous block
-    blocks = []
-    for j, (c, d, _, members) in enumerate(entries, start=1):
-        positions = [where[line_id] for line_id in members]
-        lo, hi = min(positions), max(positions)
-        start, stop = lo - 1 if lo else 0, hi + 2  # in and beside this block
-        if j > 1:  # O_{j-1} at its sample: the pairs born at step j - 1 and dying at step j
-            if start <= born_stop and born_start <= stop:  # the slices meet: check their union
-                spans = ((start if start < born_start else born_start,
-                          stop if stop > born_stop else born_stop),)
-            else:
-                spans = ((born_start, born_stop), (start, stop))
-            _check_heights(j - 1, order, coefficients, a * d + c * b, 2 * b * d, spans)
-        if hi - lo + 1 != len(positions):
-            raise InvariantViolation(
-                f"lines {tuple(sorted(members))} not contiguous in profile {j - 1}: "
-                f"{tuple(order)}"
-            )
-        order[lo : hi + 1] = order[lo : hi + 1][::-1]
-        coefficients[lo : hi + 1] = coefficients[lo : hi + 1][::-1]
-        for k in range(lo, hi + 1):
-            where[order[k]] = k
-        blocks.append((lo + 1, hi + 1))
-        born_start, born_stop = start, stop
-        a, b = c, d
-    _check_heights(len(entries), order, coefficients, a - b, b, everything)
-    return tuple(blocks)
-
-
 def fiber_blocks(arr: Arrangement) -> tuple[tuple[int, int], ...]:
-    """The checked 1-based position block each intersection point reverses, in rank order.
+    """The 1-based position block each intersection point reverses, in rank order.
 
     Block j is where the lines through the rank-j point sit in the fiber
-    order O_{j-1}; it is the arrangement's allowable sequence.  Read off
-    the ranked integer entries (no `IntersectionPoint` is built), computed
-    once per arrangement object and kept on it.  Every fiber order is
-    checked against the exact heights: each pair of lines adjacent over a
-    run of orders is checked at the first and last samples of its run,
-    which is enough because the x where one line of a pair lies above the
-    other form a half-line (`_checked_blocks`).
+    order O_{j-1}; the blocks are the arrangement's allowable sequence,
+    produced by the sweep (`_sweep`) that finds the points, once per
+    arrangement object, with no `IntersectionPoint` built.
     """
-    blocks = arr.__dict__.get("_blocks")
-    if blocks is None:
-        blocks = arr.__dict__["_blocks"] = _checked_blocks(arr, _ranked(arr)[1])
-    return blocks
+    return _swept(arr)[1]
 
 
 def order_profiles(arr: Arrangement) -> tuple[OrderProfile, ...]:
     """The fiber orders O_0 .. O_s over the intervals between projections.
 
-    The orders are derived from the combinatorics: O_0 is the identity
-    order (1, ..., n), and O_j arises from O_{j-1} by reversing the block of
-    lines through the rank-j point, which must be contiguous.  Each O_j is
-    checked against the geometry: at a sample x inside its interval the
-    heights strictly decrease along O_j.  That is checked pair by pair: a
-    pair of lines adjacent in O_j1 .. O_j2 is compared at the samples of
-    O_j1 and O_j2 only, since two lines cross once, so the x where one lies
-    above the other form a half-line, which holds every sample between two
-    it holds.  A violation aborts because it can only mean broken
-    arithmetic, never bad input.
-
-    The orders replay the arrangement's checked blocks (`fiber_blocks`),
-    which are derived and checked once per arrangement object.
+    O_0 is the identity order (1, ..., n), and O_j arises from O_{j-1} by
+    reversing block j of `fiber_blocks`, the contiguous block of lines
+    through the rank-j point.  O_j is the order the sweep that found the
+    blocks held between its events j and j + 1, so it is the order of the
+    lines' heights over that interval by construction.
     """
     if arr.n == 1:
         return (OrderProfile(0, (1,)),)
@@ -512,14 +451,16 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
 
     Tries t = 0 first, then 1/2, 1/4, 1/8, ...; the first admissible t
     (`_admissible_shear`) under which the points' x's are distinct wins.
-    A shear is an affine bijection of the plane, so it keeps the
+    t = 0 is the arrangement's own sweep, kept on it; only when that
+    raises `NonGenericX` are the points grouped (`_group_points`).  A
+    shear is an affine bijection of the plane, so it keeps the
     concurrency combinatorics, and each candidate is tested by projecting
-    the input's grouped points (`_generic_after_shear`), not by shearing
-    and regrouping the lines: only the winner is sheared and grouped, and
-    its genericity and concurrency partition are then checked, so every
-    shear groups twice.  The grouping stays on the arrangement returned,
-    so `intersections` does not group it again; an arrangement whose
-    points were already ranked is generic as it is.
+    the grouped points (`_generic_after_shear`), not by shearing and
+    regrouping the lines.  The winner is swept from the input's integer
+    lines under t (`_sweep(arr, k)`), which raises if two points still
+    share a u, and its points must carry the input's concurrency
+    partition; that sweep is kept on the arrangement returned, so no
+    arrangement is grouped or swept twice.
 
     The search is finite.  Every t >= 1/m_1 (m_1 the largest slope) at or
     below an inadmissible t is inadmissible too, so the first inadmissible
@@ -528,12 +469,13 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     at most, (x1 - x2)/(y1 - y2), so at most one admissible t per pair of
     points fails.
     """
-    if "_ranked" in arr.__dict__:
+    try:
+        if arr.n > 1:
+            _swept(arr)
         return arr, Fraction(0)
-    scale, groups = _grouping(arr)
-    if len({(p, q) for p, q, _ in groups}) == len(groups):
-        return arr, Fraction(0)
-
+    except NonGenericX:
+        pass
+    scale, groups = _group_points(arr)
     keys = list(groups)
     steep = arr.lines[0].slope
     k = 1
@@ -546,12 +488,12 @@ def shear_to_generic(arr: Arrangement) -> tuple[Arrangement, Fraction]:
     else:
         raise InvariantViolation("no admissible shear found; this cannot happen")
     t = Fraction(1, 1 << k)
-    candidate = _shear_lines(arr, t)
-    _, sheared = _grouping(candidate)
-    if len({(p, q) for p, q, _ in sheared}) != len(sheared):
-        raise InvariantViolation(f"shear by t={t} left two points at one x")
-    if {frozenset(members) for members in sheared.values()} != {
-        frozenset(members) for members in groups.values()
-    }:
+    try:
+        swept = _sweep(arr, k)
+    except NonGenericX:
+        raise InvariantViolation(f"shear by t={t} left two points at one x") from None
+    if set(swept[0]) != {frozenset(members) for members in groups.values()}:
         raise InvariantViolation(f"shear by t={t} changed the concurrency combinatorics")
+    candidate = _shear_lines(arr, t)
+    candidate.__dict__["_sweep"] = swept
     return candidate, t

@@ -50,16 +50,16 @@ the number of points on it: mu_L, the line's left exponent plus one.
 
 `lantern_relation` reads the factor lists off the combinatorics: the
 exponents mu_L - 1, and the right side as a `framed.TwistReplay` of the
-checked blocks and the lines through each point.  It calls neither
+sweep's blocks and the lines through each point.  It calls neither
 `braid_monodromy` nor `twist_product`; the replay spells its word from
 the blocks when the relation is verified, and builds its descriptors only
 when a caller reads `rhs`: their conjugators are prefixes of one tuple
-D_1 ... D_s, and their consistency is the fact `fiber_blocks` checked.
+D_1 ... D_s, and their consistency holds by the sweep's construction.
 The left side is never spelled there (it is central, see
 `relation.verify_relation`).
 
 The replay is derived once per arrangement object and kept in its
-`__dict__`, as `geometry` keeps the ranked points and checked blocks, so
+`__dict__`, as `geometry` keeps the sweep's points and blocks, so
 `verified_relation` and a later `total_monodromy` on the same arrangement
 share one word; `braid_monodromy` pairs the same descriptors with the
 points, and keeps its twists there too.
@@ -75,8 +75,7 @@ from .framed import FramedElement, TwistDescriptor, TwistReplay, conjugated_twis
 from .geometry import (
     Arrangement,
     IntersectionPoint,
-    _ranked,
-    fiber_blocks,
+    _swept,
     intersections,
     line_multiplicities,
 )
@@ -104,18 +103,17 @@ class MonodromyData:
 
 
 def _right_side(arr: Arrangement) -> TwistReplay:
-    """The arrangement's twists: its checked blocks and the lines through each point.
+    """The arrangement's twists: its sweep's blocks and the lines through each point.
 
-    `fiber_blocks` checked each point's lines against the fiber order
-    before it (they fill the point's block), so they are the lines the
-    block encloses.  Built once per arrangement object and kept on it; it
-    holds no reference to the arrangement, so keeping it makes no cycle.
+    Each point's lines are the run the sweep reversed as its block
+    (`geometry._sweep`), so they are the lines the block encloses.  Built
+    once per arrangement object and kept on it; it holds no reference to
+    the arrangement, so keeping it makes no cycle.
     """
     replay = arr.__dict__.get("_replay")
     if replay is None:
-        blocks = fiber_blocks(arr)
-        members = [entry[3] for entry in _ranked(arr)[1]]
-        replay = arr.__dict__["_replay"] = TwistReplay(arr.n, blocks, members)
+        points, blocks = _swept(arr)
+        replay = arr.__dict__["_replay"] = TwistReplay(arr.n, blocks, points)
     return replay
 
 
@@ -124,15 +122,15 @@ def braid_monodromy(arr: Arrangement) -> MonodromyData:
 
     Requires x-generic input; propagates NonGenericX otherwise.  The points
     and their blocks are the arrangement's `intersections` and
-    `fiber_blocks`, derived and checked against the geometry once per
-    arrangement object (the lines through each point are contiguous in the
-    fiber order, and every order matches the heights).  The descriptors
+    `fiber_blocks`, both from the one sweep kept on the arrangement object
+    (`geometry._sweep`: each block is the run of the point's lines in the
+    fiber order before it, reversed).  The descriptors
     are those of the arrangement's right side (`lantern_relation(arr).rhs`,
     the same objects): point k's conjugator beta_k is a prefix of one
     tuple D_1 ... D_s, so the descriptors share O(n^2) letters in all, and
     each descriptor's consistency (beta_k's strand order, the fiber order
-    O_{k-1}, holds the enclosed lines on the block) is the fact
-    `fiber_blocks` checked, not checked again.
+    O_{k-1}, holds the enclosed lines on the block) holds by the sweep's
+    construction and is not checked again.
 
     The twists are a pure function of the immutable arrangement, so they
     are built once per arrangement object and kept in its `__dict__` next

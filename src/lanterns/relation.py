@@ -110,8 +110,10 @@ JSON_SCHEMA = "lantern-relation/4"
 JSON_SCHEMA_V3 = "lantern-relation/3"
 JSON_SCHEMA_V2 = "lantern-relation/2"
 
-# The most letters a schema-2 or schema-3 document's conjugators may spell
-# when it is read entry by entry.
+# The most letters a relation document may make the parser spell: all the
+# conjugators of a schema-2 or schema-3 document read entry by entry, or one
+# left-side image of a document with a report.  A document with a twist or a
+# report builds strand orders and images of n entries, so its n is bounded too.
 MAX_SPELLED_LETTERS = 10**6
 
 
@@ -381,30 +383,37 @@ def _entry_dict(rhs: tuple[TwistDescriptor, ...], index: int) -> dict[str, Any]:
     compared.
     """
     d = rhs[index]
-    letters = d.conjugator.letters
+    conjugator = d.conjugator
     entry: dict[str, Any] = {"label": d.label}
     prefix = rhs[index + 1].conjugator if index + 1 < len(rhs) else None
     k = 0 if prefix is None else len(prefix)
-    if 0 < k and 2 * k > len(letters) and _common_prefix(d.conjugator, prefix) == k:
+    extends = 0 < k and 2 * k > len(conjugator) and _common_prefix(conjugator, prefix) == k
+    if extends:
         entry["extends"] = index + 1
-        letters = letters[k:]
-    entry["conjugator"] = list(letters)
+    # sliced from the tuple a replay's conjugators share, not from a copy of the prefix
+    entry["conjugator"] = list(conjugator._source[k if extends else 0 : len(conjugator)])
     entry["block"] = [d.block[0], d.block[1]]
     entry["enclosed"] = sorted(d.enclosed)
     return entry
 
 
-def relation_to_v3_dict(relation: Relation) -> dict[str, Any]:
-    """The schema-3 document: every rhs entry, its conjugator stored by reference."""
+def _v3_dict(relation: Relation, entries: list[dict[str, Any]]) -> dict[str, Any]:
+    """The schema-3 document with these rhs entries (`_entry_dict` of each)."""
     return {
         "schema": JSON_SCHEMA_V3,
         "name": relation.name,
         "n": relation.n,
         "text": format_text(relation),
         "lhs": [[boundary_id, exponent] for boundary_id, exponent in relation.lhs],
-        "rhs": [_entry_dict(relation.rhs, index) for index in range(len(relation.rhs))],
+        "rhs": entries,
         "report": None if relation.report is None else _report_dict(relation.report),
     }
+
+
+def relation_to_v3_dict(relation: Relation) -> dict[str, Any]:
+    """The schema-3 document: every rhs entry, its conjugator stored by reference."""
+    rhs = relation.rhs
+    return _v3_dict(relation, [_entry_dict(rhs, index) for index in range(len(rhs))])
 
 
 def _sweep(blocks: list[tuple[int, int]], n: int) -> list[frozenset[int]]:
@@ -440,33 +449,28 @@ def _in_order(lhs: tuple[tuple[int, int], ...], n: int) -> bool:
     return len(lhs) == n + 1 and all(boundary_id == i for i, (boundary_id, _) in enumerate(lhs))
 
 
-def _replayed_blocks(relation: Relation) -> tuple[tuple[int, int], ...] | None:
-    """The blocks, in sweep order, whose replay is `relation`; None if there are none.
+def relation_to_dict(relation: Relation) -> dict[str, Any]:
+    """The schema-4 document when the relation replays its blocks, else schema 3's.
 
     The lhs must list boundary ids 0..n once each, in order.  A
     `TwistReplay` gives its blocks as they are; a tuple replays its blocks
     exactly when its schema-3 entries do (`_replayed_entries`), a rule on
-    the letters alone.
+    the letters alone, and those entries are written when it does not.
     """
     rhs = relation.rhs
     if not _in_order(relation.lhs, relation.n):
-        return None
-    if not isinstance(rhs, TwistReplay):
-        rhs = _replayed_entries([_entry_dict(rhs, i) for i in range(len(rhs))], relation.n)
-    return None if rhs is None else rhs.blocks
-
-
-def relation_to_dict(relation: Relation) -> dict[str, Any]:
-    """The schema-4 document when the relation replays its blocks, else schema 3's."""
-    blocks = _replayed_blocks(relation)
-    if blocks is None:
         return relation_to_v3_dict(relation)
+    if not isinstance(rhs, TwistReplay):
+        entries = [_entry_dict(rhs, index) for index in range(len(rhs))]
+        rhs = _replayed_entries(entries, relation.n)
+        if rhs is None:
+            return _v3_dict(relation, entries)
     return {
         "schema": JSON_SCHEMA,
         "name": relation.name,
         "n": relation.n,
         "lhs": [[boundary_id, exponent] for boundary_id, exponent in relation.lhs],
-        "blocks": [[a, b] for a, b in blocks],
+        "blocks": [[a, b] for a, b in rhs.blocks],
         "report": None if relation.report is None else _report_dict(relation.report),
     }
 
@@ -629,6 +633,12 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
     A stored report is not parsed: the relation is verified from its
     factors, and the stored report must hold the entries `_report_dict`
     writes for the result, compared as JSON text (so `1` is not `true`).
+    Sizes that verifying would spell are refused before anything of that
+    size is built, by `MAX_SPELLED_LETTERS`: a schema-2 or schema-3
+    document with a twist or a report has at most that many strands (a
+    schema-4 one lists them all in its lhs), and a stored report is
+    checked only when each left image, 2n|e| + 1 letters for the outer
+    exponent e, spells at most that many.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a relation document is a JSON object, not {type(data).__name__}")
@@ -644,6 +654,11 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
         if schema == JSON_SCHEMA:
             lhs, rhs = _replay(data, n)
         else:
+            if n > MAX_SPELLED_LETTERS and (data["rhs"] or data.get("report") is not None):
+                raise ValueError(
+                    f"n is {n}, but a document with a twist or a report builds strand "
+                    f"orders and images of n entries, and may have at most {MAX_SPELLED_LETTERS}"
+                )
             lhs = tuple(_pair(pair, f"lhs[{i}]") for i, pair in enumerate(data["lhs"]))
             rhs = _replayed_entries(data["rhs"], n) if _in_order(lhs, n) else None
             if rhs is None:
@@ -654,6 +669,12 @@ def relation_from_dict(data: dict[str, Any]) -> Relation:
     stored = data.get("report")
     if stored is None:
         return relation
+    spelled = 2 * n * abs(relation._lhs_framing[0]) + 1
+    if spelled > MAX_SPELLED_LETTERS:
+        raise ValueError(
+            f"the left side's images would spell {spelled} letters each, more than the "
+            f"{MAX_SPELLED_LETTERS} a document with a report may spell"
+        )
     report = verify_relation(relation)
     expected = _report_dict(report)
     kept = None

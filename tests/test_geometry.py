@@ -84,6 +84,8 @@ def test_non_generic_x_detected():
     # both offending points sit at the same x with different line sets
     assert err.value.first[0] == err.value.second[0]
     assert err.value.first[2] != err.value.second[2]
+    # named in the order of their smallest lines, as the pairwise grouping meets them
+    assert [err.value.first, err.value.second] == _fraction_ranked(arr)[:2]
 
 
 def test_rank_keys_separate_x_below_two_to_the_minus_64():
@@ -120,21 +122,19 @@ def test_two_line_profiles():
     assert [p.order for p in profiles] == [(1, 2), (2, 1)]
 
 
-def test_order_profiles_with_swapped_ranks_fail_the_geometry_check():
-    arr, _ = L.shear_to_generic(random_arrangement(random.Random(5), 6, allow_concurrent=False))
-    entries = list(L.geometry._ranked(arr)[1])
-    assert L.geometry._checked_blocks(arr, entries) == L.geometry.fiber_blocks(arr)
-    for j in range(len(entries) - 1):
-        swapped = list(entries)
-        swapped[j], swapped[j + 1] = entries[j + 1], entries[j]
-        with pytest.raises(L.InvariantViolation):
-            L.geometry._checked_blocks(arr, swapped)
+def _fraction_ranked(arr):
+    """(x, y, sorted lines) of every point, in `Fraction`s, by decreasing x; ties keep pair order."""
+    groups = _reference_groups(arr)
+    return [
+        (x, y, tuple(sorted(members)))
+        for (x, y), members in sorted(groups.items(), key=lambda item: item[0][0], reverse=True)
+    ]
 
 
-def _full_scan_blocks(arr, entries):
-    """The blocks, each fiber order's heights compared in full at its sample, in `Fraction`s."""
+def _full_scan_blocks(arr, ranked):
+    """The blocks of the ranked points, each fiber order's heights compared in full at its sample."""
     order = list(range(1, arr.n + 1))
-    xs = [Fraction(p, q) for p, q, _, _ in entries]
+    xs = [x for x, _, _ in ranked]
     samples = [xs[0] + 1] + [(a + b) / 2 for a, b in zip(xs, xs[1:])] + [xs[-1] - 1]
 
     def check(x):
@@ -144,7 +144,7 @@ def _full_scan_blocks(arr, entries):
 
     check(samples[0])
     blocks = []
-    for (*_, members), sample in zip(entries, samples[1:]):
+    for (*_, members), sample in zip(ranked, samples[1:]):
         positions = sorted(order.index(line) for line in members)
         lo, hi = positions[0], positions[-1]
         if hi - lo + 1 != len(positions):
@@ -155,44 +155,36 @@ def _full_scan_blocks(arr, entries):
     return tuple(blocks)
 
 
-def _outcome(checked_blocks, arr, entries):
-    try:
-        return checked_blocks(arr, entries)
-    except L.InvariantViolation:
-        return "refused"
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.integers(2, 9), st.integers(0, 10**9), st.sampled_from(["random", "forced", "grid"]))
+def test_the_sweep_matches_the_fraction_reference(n, seed, kind):
+    """Points, lines and blocks of the sweep, of an input or of its shear, against `Fraction`s.
 
-
-def _moved_past_a_neighbour(entries, j, left):
-    """Entry j with its x moved just past its left (smaller x) or right neighbour's."""
-    xs = [Fraction(p, q) for p, q, _, _ in entries]
-    step = 1 if left else -1
-    beyond = j + 2 * step
-    x = (xs[j + step] + xs[beyond]) / 2 if 0 <= beyond < len(xs) else xs[j + step] - step
-    return entries[:j] + [(x.numerator, x.denominator, *entries[j][2:])] + entries[j + 1 :]
-
-
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(
-    st.integers(2, 9),
-    st.integers(0, 10**9),
-    st.sampled_from(["ranked", "adjacent swap", "x moved"]),
-    st.integers(0, 10**6),
-)
-def test_adjacency_checks_fail_exactly_where_a_full_scan_does(n, seed, corruption, pick):
-    arr, _ = L.shear_to_generic(random_arrangement(random.Random(seed), n))
-    entries = list(L.geometry._ranked(arr)[1])
-    s = len(entries)
-    if corruption == "adjacent swap" and s > 1:
-        j = pick % (s - 1)
-        entries[j], entries[j + 1] = entries[j + 1], entries[j]
-    elif corruption == "x moved" and s > 1:
-        j = pick % s
-        left = j == 0 or (j < s - 1 and pick % 2 == 0)
-        entries = _moved_past_a_neighbour(entries, j, left)
-    outcome = _outcome(L.geometry._checked_blocks, arr, entries)
-    assert outcome == _outcome(_full_scan_blocks, arr, entries)
-    if corruption == "ranked" or s == 1:
-        assert outcome == L.geometry.fiber_blocks(arr)
+    Inputs are seeded arrangements with triple points, lines with two
+    points forced onto one vertical (and sometimes a third line through
+    one), and small-integer grids with many equal x's.  A non-generic
+    input names the reference's first two points at its largest shared
+    x, in pair order; its shear is then swept from the input's lines.
+    """
+    rng = random.Random(seed)
+    if kind == "random":
+        arr = random_arrangement(rng, n)
+    elif kind == "forced" and n >= 4:
+        arr = L.validate_arrangement(_non_generic_entries(rng, n))
+    else:
+        arr = L.validate_arrangement([(m, rng.randint(-3, 3)) for m in rng.sample(range(-6, 7), n)])
+    reference = _fraction_ranked(arr)
+    clash = next(((a, b) for a, b in zip(reference, reference[1:]) if a[0] == b[0]), None)
+    if clash is not None:
+        with pytest.raises(L.NonGenericX) as err:
+            L.intersections(arr)
+        assert (err.value.first, err.value.second) == clash
+        arr, t = L.shear_to_generic(arr)
+        assert t != 0 and "_sweep" in arr.__dict__
+        reference = _fraction_ranked(arr)
+    assert [(p.x, p.y, p.lines) for p in L.intersections(arr)] == reference
+    assert list(L.geometry._swept(arr)[0]) == [set(p[2]) for p in reference]
+    assert L.geometry.fiber_blocks(arr) == _full_scan_blocks(arr, reference)
 
 
 def test_shear_identity_on_generic(worked):
@@ -227,20 +219,13 @@ def test_shear_repairs_non_generic():
     assert [line.id for line in sheared.lines] == [line.id for line in arr.lines]
 
 
-def test_shear_groups_each_candidate_once(monkeypatch):
-    calls = []
-    reference = L.geometry._group_points
-
-    def counting(arr):
-        calls.append(arr)
-        return reference(arr)
-
-    monkeypatch.setattr("lanterns.geometry._group_points", counting)
+def test_shear_groups_the_input_once_and_sweeps_its_pick(monkeypatch):
+    calls = _count_derivations(monkeypatch)
     arr = L.validate_arrangement(NON_GENERIC_LINES)
     sheared, t = L.shear_to_generic(arr)
-    # t = 1/2 turns line 1 vertical, so only the input and t = 1/4 are grouped.
-    assert len(calls) == 2
+    # t = 1/2 turns line 1 vertical, so t = 1/4 wins; its sweep reads the input's lines.
     assert t == Fraction(1, 4)
+    assert calls == {"groupings": [arr], "sweeps": [(arr, None, "refused"), (arr, 2, "swept")]}
     assert sheared == L.validate_arrangement(
         [(4, -4), (Fraction(4, 3), 0), (Fraction(-4, 5), 0), (Fraction(-4, 3), Fraction(4, 3))]
     )
@@ -342,18 +327,12 @@ def test_projected_shear_search_matches_the_regrouping_reference():
     assert triple > 50
 
 
-def test_a_shear_after_seven_tries_groups_twice(monkeypatch):
-    calls = []
-    reference = L.geometry._group_points
-
-    def counting(arr):
-        calls.append(arr)
-        return reference(arr)
-
-    monkeypatch.setattr("lanterns.geometry._group_points", counting)
+def test_a_shear_after_seven_tries_groups_once(monkeypatch):
+    calls = _count_derivations(monkeypatch)
     arr = random_arrangement(random.Random(1), 18, allow_concurrent=False)
     sheared, t = L.shear_to_generic(arr)
-    assert t == Fraction(1, 128) and calls == [arr, sheared]
+    assert t == Fraction(1, 128)
+    assert calls == {"groupings": [arr], "sweeps": [(arr, None, "refused"), (arr, 7, "swept")]}
 
 
 def test_shear_search_passes_the_slopes_that_forbid_every_large_t():
@@ -468,22 +447,26 @@ def test_integer_grouping_matches_the_fraction_reference():
 
 
 def _count_derivations(monkeypatch):
-    """Count `_group_points` calls and height-checked samples from here on."""
-    counts = {"groupings": 0, "samples": 0}
-    group_points = L.geometry._group_points
-    check_heights = L.geometry._check_heights
+    """Record `_group_points` calls, and each `_sweep` call's shear and outcome, from here on."""
+    calls = {"groupings": [], "sweeps": []}
+    group_points, sweep = L.geometry._group_points, L.geometry._sweep
 
     def grouping(arr):
-        counts["groupings"] += 1
+        calls["groupings"].append(arr)
         return group_points(arr)
 
-    def heights(*args):
-        counts["samples"] += 1
-        return check_heights(*args)
+    def sweeping(arr, k=None):
+        try:
+            swept = sweep(arr, k)
+        except L.NonGenericX:
+            calls["sweeps"].append((arr, k, "refused"))
+            raise
+        calls["sweeps"].append((arr, k, "swept"))
+        return swept
 
     monkeypatch.setattr("lanterns.geometry._group_points", grouping)
-    monkeypatch.setattr("lanterns.geometry._check_heights", heights)
-    return counts
+    monkeypatch.setattr("lanterns.geometry._sweep", sweeping)
+    return calls
 
 
 def _stages(arr):
@@ -503,12 +486,12 @@ def test_each_arrangement_is_derived_once(monkeypatch):
         generic, _ = L.shear_to_generic(random_arrangement(rng, n))
         lines = [(line.slope, line.intercept) for line in generic.lines]
         arr = L.validate_arrangement(lines)
-        counts = _count_derivations(monkeypatch)
+        calls = _count_derivations(monkeypatch)
         first = _stages(arr)
-        points = L.intersections(arr)
-        assert counts == {"groupings": 1, "samples": len(points) + 1}
+        # swept once, never grouped, and the later stages derive nothing
+        assert calls == {"groupings": [], "sweeps": [(arr, None, "swept")]}
         assert _stages(arr) == first
-        assert counts == {"groupings": 1, "samples": len(points) + 1}
+        assert calls == {"groupings": [], "sweeps": [(arr, None, "swept")]}
         monkeypatch.undo()
         # the kept results are those of a fresh, equal arrangement
         fresh = L.validate_arrangement(lines)
@@ -520,40 +503,17 @@ def test_each_arrangement_is_derived_once(monkeypatch):
         assert sheared[0] is fresh and first[4][0] is arr
 
 
-def test_shear_hands_its_grouping_to_the_result(monkeypatch):
-    counts = _count_derivations(monkeypatch)
-    sheared, t = L.shear_to_generic(L.validate_arrangement(NON_GENERIC_LINES))
-    assert t != 0 and counts["groupings"] == 2
-    relation = L.verified_relation(sheared)
-    assert relation.report.verified
-    assert counts["groupings"] == 2
-
-
-def test_failing_explicit_points_leave_the_kept_results_alone():
-    lines = [(line.slope, line.intercept) for line in
-             random_arrangement(random.Random(5), 6, allow_concurrent=False).lines]
-    arr, _ = L.shear_to_generic(L.validate_arrangement(lines))
-    entries = L.geometry._ranked(arr)[1]
-    swapped = [entries[1], entries[0], *entries[2:]]
-    with pytest.raises(L.InvariantViolation):
-        L.geometry._checked_blocks(arr, swapped)
-    reference, _ = L.shear_to_generic(L.validate_arrangement(lines))
-    expected = [(t.point, t.descriptor) for t in L.braid_monodromy(reference).twists]
-    assert [(t.point, t.descriptor) for t in L.braid_monodromy(arr).twists] == expected
-    assert L.order_profiles(arr) == L.order_profiles(reference)
-    # a failing call after the derivation does not disturb what was kept
-    with pytest.raises(L.InvariantViolation):
-        L.geometry._checked_blocks(arr, swapped)
-    assert [(t.point, t.descriptor) for t in L.braid_monodromy(arr).twists] == expected
-    assert L.verified_relation(arr).report.verified
-
-
-def _fraction_ranked(arr):
-    groups = _reference_groups(arr)
-    return [
-        (x, y, tuple(sorted(members)))
-        for (x, y), members in sorted(groups.items(), key=lambda item: item[0][0], reverse=True)
-    ]
+def test_shear_hands_its_sweep_to_the_result(monkeypatch):
+    calls = _count_derivations(monkeypatch)
+    arr = L.validate_arrangement(NON_GENERIC_LINES)
+    sheared, t = L.shear_to_generic(arr)
+    assert t != 0
+    derived = {"groupings": [arr], "sweeps": [(arr, None, "refused"), (arr, 2, "swept")]}
+    assert calls == derived
+    assert L.verified_relation(sheared).report.verified
+    assert L.total_monodromy(sheared) and L.order_profiles(sheared) and L.intersections(sheared)
+    assert L.shear_to_generic(sheared) == (sheared, 0)
+    assert calls == derived
 
 
 @pytest.mark.parametrize("offset", [Fraction(1, 10**30), Fraction(-1, 10**30)])

@@ -425,6 +425,22 @@ print(json.dumps({"message": message, "elapsed_s": time.perf_counter() - start})
 """
 
 
+def _parse_in_child(text):
+    """`parse_relation(text)` in a child capped at 1 GB: its `ValueError` message and time."""
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPELLING_CHILD],
+        input=text,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def _one_letter_chain(s):
     """A valid n = 2 schema-3 document: entry i extends entry i + 1 by sigma_1, s entries."""
     entries = []
@@ -451,18 +467,7 @@ def test_a_long_extends_chain_is_refused_by_its_letter_count():
     """
     text = _one_letter_chain(12_000)
     assert len(text) > 1_000_000
-    root = Path(__file__).resolve().parent.parent
-    path = os.pathsep.join(filter(None, (str(root / "src"), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", SPELLING_CHILD],
-        input=text,
-        env=dict(os.environ, PYTHONPATH=path),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
+    result = _parse_in_child(text)
     spelled = 12_000 * 11_999 // 2
     assert result["message"] is not None and f"spell {spelled} letters" in result["message"]
     assert result["elapsed_s"] < 1.0, result
@@ -742,6 +747,27 @@ def test_hostile_strand_count_without_a_report_parses_quickly():
     relation = L.parse_relation(json.dumps(document))
     assert time.perf_counter() - start < 1.0
     assert relation.n == n and relation.lhs == ((0, 1), (n, 2))
+
+
+@pytest.mark.parametrize(
+    "field, size",
+    [("exponent", 10**30), ("exponent", 10**12), ("n", 10**30), ("n", 10**9)],
+    ids=["exponent-1e30", "exponent-1e12", "n-1e30", "n-1e9"],
+)
+def test_hostile_sizes_end_in_a_value_error_naming_the_count(worked, field, size):
+    """A stored report whose outer exponent e makes each left image spell 2n|e| + 1
+    letters, or rhs twists on n strands, past `MAX_SPELLED_LETTERS`: refused before
+    anything of that size is allocated, in a child capped at 1 GB."""
+    data = L.relation_to_v3_dict(L.verified_relation(worked))
+    if field == "exponent":
+        data["lhs"] = [[0, size]]
+        count = 2 * 3 * size + 1
+    else:
+        data["n"], data["report"] = size, None
+        count = size
+    result = _parse_in_child(json.dumps(data))
+    assert result["message"] is not None and str(count) in result["message"], result
+    assert result["elapsed_s"] < 1.0, result
 
 
 def test_hostile_outer_exponent_is_refused_quickly(worked):

@@ -4,11 +4,14 @@
 
 Run from the root of a checkout; the package is imported from `src/`.  For
 each size a fresh interpreter builds the arrangement, then times, on that
-one arrangement object and in this order: `shear_to_generic`, ranking and
-blocks (`geometry.fiber_blocks`), `verified_relation`, the JSON export and
-`parse_relation` of that export.  It checks that the parsed relation
-equals the verified one and that the report says verified, and reports
-its peak RSS and the export's size.  Each size runs in 3 such children,
+one arrangement object and in this order: geometry, `verified_relation`,
+the JSON export and `parse_relation` of that export.  Geometry is one
+stage, `geometry_s`: `shear_to_generic` then `geometry.fiber_blocks` on
+the arrangement it returns.  The shear sweeps that arrangement and keeps
+the sweep on it, so the blocks cost nothing more there and timing them
+apart would read 0.  It checks that the parsed relation equals the
+verified one and that the report says verified, and reports its peak
+RSS and the export's size.  Each size runs in 3 such children,
 one after another; a stage's time and the peak RSS are the median of the
 3 readings, reported with their spread (largest minus smallest), and the
 export must come out the same size every time.  The children run one at
@@ -46,7 +49,7 @@ SEED99_MAX = 169
 MEMORY_CAP = 2 << 30
 CHILD_TIMEOUT_S = 110
 READINGS = 3
-STAGES = ("shear_s", "blocks_s", "verified_relation_s", "export_s", "parse_s")
+STAGES = ("geometry_s", "verified_relation_s", "export_s", "parse_s")
 
 
 def _arrangement(n: int):
@@ -77,8 +80,11 @@ def child(n: int) -> dict:
         stages.append((name, round(time.perf_counter() - start, 4)))
         return result
 
-    arr, t = stage("shear_s", L.shear_to_generic, arr)
-    blocks = stage("blocks_s", fiber_blocks, arr)
+    def geometry(arr):
+        arr, t = L.shear_to_generic(arr)
+        return arr, t, fiber_blocks(arr)
+
+    arr, t, blocks = stage("geometry_s", geometry, arr)
     relation = stage("verified_relation_s", L.verified_relation, arr)
     text = stage("export_s", L.export_relation, relation, "json")
     parsed = stage("parse_s", L.parse_relation, text)
